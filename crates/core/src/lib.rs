@@ -47,6 +47,7 @@ pub mod config;
 pub mod metrics;
 pub mod obs;
 pub mod processor;
+mod rob;
 pub mod scheduler;
 pub mod sim;
 

@@ -1,8 +1,6 @@
 //! The cycle-level processor: front-end verification, out-of-order
 //! back-end, misprediction recovery.
 
-use std::collections::VecDeque;
-
 use sfetch_cfg::{Cfg, CodeImage};
 use sfetch_fetch::{
     Checkpoint, CommittedControl, CommittedInst, FetchEngine, FetchEngineStats, FetchedInst,
@@ -10,11 +8,12 @@ use sfetch_fetch::{
 };
 use sfetch_isa::{Addr, BranchKind, InstClass};
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
-use sfetch_trace::{DynInst, Executor, OracleSource};
+use sfetch_trace::{Executor, OracleSource};
 
 use crate::config::ProcessorConfig;
 use crate::metrics::SimStats;
 use crate::obs::{NullObserver, Observer};
+use crate::rob::{ColdEntry, HotEntry, Rob};
 use crate::scheduler::{EventScheduler, Seq};
 
 /// Completion-time ring size (must exceed any ROB + dependence distance).
@@ -27,27 +26,6 @@ const COMPLETION_RING: usize = 4096;
 /// L1→L2→memory miss of 116 cycles, or the front-pipeline latency) with
 /// no re-parks.
 const WHEEL_HORIZON: usize = 512;
-
-/// One reorder-buffer entry.
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    seq: u64,
-    fi: FetchedInst,
-    /// Correct-path record; `None` marks a wrong-path instruction.
-    oracle: Option<DynInst>,
-    /// This entry anchors the pending execute-time recovery.
-    anchor: bool,
-    /// Prediction was wrong but was repaired at decode (misfetch): the
-    /// committed record still reports `mispredicted` so predictors train
-    /// their hysteresis/upgrade paths.
-    misfetch: bool,
-    ready_at: u64,
-    issued: bool,
-    done_at: u64,
-    /// Some later entry is registered in this entry's waiter list
-    /// (event-driven back-end only): issue must drain and re-park them.
-    has_waiters: bool,
-}
 
 /// The in-flight recovery for the oldest divergence.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +51,9 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     mem: MemoryHierarchy,
     image: &'a CodeImage,
     oracle: OracleSource<'a>,
-    pending_oracle: Option<DynInst>,
-    rob: VecDeque<RobEntry>,
+    /// Reorder buffer: a fixed ring of compact hot/cold entries, with
+    /// its O(1) seq → slot index (see the `rob` module).
+    rob: Rob,
     next_seq: u64,
     on_correct: bool,
     recovery: Option<Recovery>,
@@ -85,16 +64,7 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     last_cp: Checkpoint,
     completion: Vec<u64>,
     sched: EventScheduler,
-    /// Position keys for O(1) seq → ROB-index resolution: `pos_key[seq %
-    /// ring] - total_pops` is the entry's current index from the ROB
-    /// front (commits shift every index by one; squashes pop from the
-    /// back and shift nothing). A token is live iff the index is in
-    /// bounds and the entry there carries the same seq.
-    pos_key: Vec<u64>,
-    /// Lifetime count of ROB front pops (commits).
-    total_pops: u64,
-    /// Scratch for draining wheel slots and waiter lists (capacity reused
-    /// across cycles).
+    /// Scratch for draining wheel slots (capacity reused across cycles).
     wake_buf: Vec<Seq>,
     fetch_buf: Vec<FetchedInst>,
     /// This cycle's commit group, handed to the engine in one
@@ -260,8 +230,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             mem,
             image,
             oracle,
-            pending_oracle: None,
-            rob: VecDeque::with_capacity(config.rob_entries),
+            rob: Rob::new(config.rob_entries, COMPLETION_RING),
             next_seq: 0,
             on_correct: true,
             recovery: None,
@@ -272,8 +241,6 @@ impl<'a, O: Observer> Processor<'a, O> {
             last_cp: Checkpoint::default(),
             completion: vec![u64::MAX; COMPLETION_RING],
             sched: EventScheduler::new(WHEEL_HORIZON, COMPLETION_RING),
-            pos_key: vec![u64::MAX; COMPLETION_RING],
-            total_pops: 0,
             wake_buf: Vec::with_capacity(32),
             fetch_buf: Vec::with_capacity(16),
             commit_buf: Vec::with_capacity(config.width),
@@ -400,22 +367,23 @@ impl<'a, O: Observer> Processor<'a, O> {
         // program-order sequence the per-instruction calls did.
         self.commit_buf.clear();
         for _ in 0..self.config.width {
-            let Some(head) = self.rob.front() else { break };
+            let Some(slot) = self.rob.front() else { break };
+            let head = self.rob.hot(slot);
             if !(head.issued && head.done_at <= self.now) {
                 break;
             }
-            if head.oracle.is_none() {
+            if head.wrong_path {
                 // Wrong-path instructions never commit; they are squashed by
                 // the recovery stage once the anchoring branch resolves
                 // (which, if the anchor just committed, happens this cycle).
                 break;
             }
-            let e = self.rob.pop_front().expect("head exists");
-            self.total_pops += 1;
+            let (seq, mispredicted) = (head.seq, head.anchor || head.misfetch);
+            let d = *self.rob.cold(slot);
+            self.rob.pop_front();
             if O::ENABLED {
-                self.obs.committed(self.now, e.seq);
+                self.obs.committed(self.now, seq);
             }
-            let d = e.oracle.expect("checked above");
             let control = d.control.map(|c| CommittedControl {
                 kind: c.kind,
                 taken: c.taken,
@@ -423,11 +391,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                 next_pc: c.next_pc,
                 is_fixup: c.is_fixup,
             });
-            self.commit_buf.push(CommittedInst {
-                pc: d.pc,
-                control,
-                mispredicted: e.anchor || e.misfetch,
-            });
+            self.commit_buf.push(CommittedInst { pc: d.pc, control, mispredicted });
             self.stats.committed += 1;
             if let Some(c) = d.control {
                 match c.kind {
@@ -461,16 +425,12 @@ impl<'a, O: Observer> Processor<'a, O> {
             if issued == width {
                 break;
             }
-            {
-                let e = &self.rob[i];
-                if e.issued || e.ready_at > now {
-                    continue;
-                }
-                if !self.deps_done(e) {
-                    continue;
-                }
+            let slot = self.rob.slot(i);
+            let e = self.rob.hot(slot);
+            if e.issued || e.ready_at > now || !self.deps_done(e) {
+                continue;
             }
-            self.issue_entry(i);
+            self.issue_entry(slot);
             issued += 1;
         }
     }
@@ -486,16 +446,16 @@ impl<'a, O: Observer> Processor<'a, O> {
         // Dispatches arrive in FIFO wake-cycle order: pop while due.
         // Squashed tokens (no live ROB slot) are discarded on the way.
         while let Some(seq) = self.sched.peek_arrival() {
-            match self.rob_index(seq) {
+            match self.rob.find(seq) {
                 None => {
                     self.sched.pop_arrival();
                 }
-                Some(i) => {
-                    if self.rob[i].ready_at > now {
+                Some(slot) => {
+                    if self.rob.hot(slot).ready_at > now {
                         break;
                     }
                     self.sched.pop_arrival();
-                    self.classify(seq, i);
+                    self.classify(seq, slot);
                 }
             }
         }
@@ -503,8 +463,8 @@ impl<'a, O: Observer> Processor<'a, O> {
         let mut due = std::mem::take(&mut self.wake_buf);
         self.sched.drain_due(now, &mut due);
         for &seq in &due {
-            if let Some(i) = self.rob_index(seq) {
-                self.classify(seq, i);
+            if let Some(slot) = self.rob.find(seq) {
+                self.classify(seq, slot);
             }
         }
         due.clear();
@@ -513,20 +473,17 @@ impl<'a, O: Observer> Processor<'a, O> {
             let Some(seq) = self.sched.pop_ready() else { break };
             // Validate the token: squashed entries' tokens no longer
             // resolve to a live ROB slot and are dropped here.
-            let Some(i) = self.rob_index(seq) else { continue };
-            if self.rob[i].issued {
+            let Some(slot) = self.rob.find(seq) else { continue };
+            if self.rob.hot(slot).issued {
                 continue;
             }
-            let done_at = self.issue_entry(i);
-            if self.rob[i].has_waiters {
+            let done_at = self.issue_entry(slot);
+            let e = self.rob.hot_mut(slot);
+            if e.has_waiters {
                 // The producer's completion cycle is now known: park
                 // everyone who was waiting on it.
-                self.rob[i].has_waiters = false;
-                self.sched.take_waiters(seq, &mut due);
-                for &w in &due {
-                    self.sched.park(w, done_at, now);
-                }
-                due.clear();
+                e.has_waiters = false;
+                self.sched.park_waiters(seq, done_at, now);
             }
             issued += 1;
         }
@@ -536,8 +493,8 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// Re-evaluates a woken live entry's obstacles: enter the ready
     /// queue, or re-park on the next obstacle (producer issue / known
     /// future cycle).
-    fn classify(&mut self, seq: Seq, i: usize) {
-        let e = &self.rob[i];
+    fn classify(&mut self, seq: Seq, slot: usize) {
+        let e = self.rob.hot(slot);
         if e.issued {
             return;
         }
@@ -553,9 +510,9 @@ impl<'a, O: Observer> Processor<'a, O> {
                 // if it cannot be resolved (it should always be live when
                 // its completion is still unknown), retry next cycle
                 // rather than risk a lost wake.
-                match self.rob_index(p) {
+                match self.rob.find(p) {
                     Some(pi) => {
-                        self.rob[pi].has_waiters = true;
+                        self.rob.hot_mut(pi).has_waiters = true;
                         self.sched.wait_on(seq, p);
                     }
                     None => self.sched.park(seq, self.now + 1, self.now),
@@ -565,24 +522,11 @@ impl<'a, O: Observer> Processor<'a, O> {
         }
     }
 
-    /// Locates a sequence number in the ROB in O(1) via the position-key
-    /// ring; `None` means the entry committed or was squashed (sequence
-    /// numbers are never reused, so a stale token can only miss).
-    fn rob_index(&self, seq: Seq) -> Option<usize> {
-        let key = self.pos_key[(seq % COMPLETION_RING as u64) as usize];
-        let idx = key.wrapping_sub(self.total_pops) as usize;
-        if idx < self.rob.len() && self.rob[idx].seq == seq {
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
     /// The first obstacle blocking `e` from issue, mirroring [`Self::deps_done`]
     /// exactly: a dependence on an unissued producer, a dependence on a
     /// known future completion, or nothing.
-    fn first_block(&self, e: &RobEntry) -> Block {
-        for dist in [e.fi.inst.dep1().get(), e.fi.inst.dep2().get()] {
+    fn first_block(&self, e: &HotEntry) -> Block {
+        for dist in e.deps {
             if dist == 0 {
                 continue;
             }
@@ -602,27 +546,24 @@ impl<'a, O: Observer> Processor<'a, O> {
         Block::None
     }
 
-    /// Issues the ROB entry at index `i`: computes its execution latency
+    /// Issues the ROB entry in ring slot `slot`: computes its execution latency
     /// (loads pay the D-cache access; stores access the cache but retire
     /// through a store buffer), stamps the completion ring, and arms the
     /// pending recovery if this is its anchor. Returns the completion
     /// cycle. Shared verbatim by both issue stages so their memory-system
     /// side effects are identical.
-    fn issue_entry(&mut self, i: usize) -> u64 {
-        let (class, mem_addr) = {
-            let e = &self.rob[i];
-            (e.fi.inst.class(), e.oracle.and_then(|d| d.mem_addr))
-        };
+    fn issue_entry(&mut self, slot: usize) -> u64 {
+        let HotEntry { class, wrong_path, .. } = *self.rob.hot(slot);
         let now = self.now;
         let mut lat = u64::from(class.base_latency());
         match class {
-            InstClass::Load => {
-                if let Some(addr) = mem_addr {
+            InstClass::Load if !wrong_path => {
+                if let Some(addr) = self.rob.cold(slot).mem_addr {
                     lat = u64::from(self.mem.data_access(addr, false));
                 }
             }
-            InstClass::Store => {
-                if let Some(addr) = mem_addr {
+            InstClass::Store if !wrong_path => {
+                if let Some(addr) = self.rob.cold(slot).mem_addr {
                     // Stores retire through a store buffer: access the
                     // cache (for fills/stats) but complete in a cycle.
                     let _ = self.mem.data_access(addr, true);
@@ -630,7 +571,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             }
             _ => {}
         }
-        let entry = &mut self.rob[i];
+        let entry = self.rob.hot_mut(slot);
         entry.issued = true;
         entry.done_at = now + lat;
         let (seq, done_at) = (entry.seq, entry.done_at);
@@ -653,7 +594,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// share one dependence-check implementation — their bit-identical
     /// guarantee is structural, not by convention (an unissued producer's
     /// `u64::MAX` completion is "not done" either way).
-    fn deps_done(&self, e: &RobEntry) -> bool {
+    fn deps_done(&self, e: &HotEntry) -> bool {
         matches!(self.first_block(e), Block::None)
     }
 
@@ -663,19 +604,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         if at > self.now {
             return;
         }
-        // Squash everything younger than the anchor (all wrong-path).
-        while let Some(back) = self.rob.back() {
-            if back.seq <= r.anchor_seq {
-                break;
-            }
-            let seq = back.seq;
-            self.completion[(seq % COMPLETION_RING as u64) as usize] = self.now;
-            self.rob.pop_back();
-            if O::ENABLED {
-                self.obs.squashed(self.now, seq);
-            }
-        }
-        self.engine.redirect(self.now, r.target, &r.cp, &r.resolved);
+        self.unwind(&r);
         // Front-pipeline recovery cost: hold fetch for the engine's
         // post-squash redirect penalty (history/RAS repair, overriding-
         // cascade re-steer, fill-unit flush). Zero under the legacy model
@@ -694,6 +623,24 @@ impl<'a, O: Observer> Processor<'a, O> {
             }
             _ => self.stats.mispred_other += 1,
         }
+    }
+
+    /// Ends recovery `r`: squashes everything younger than its anchor
+    /// (all wrong-path), redirects the engine from the anchor's
+    /// checkpoint, and resumes correct-path fetch.
+    fn unwind(&mut self, r: &Recovery) {
+        while let Some(back) = self.rob.back() {
+            if back.seq <= r.anchor_seq {
+                break;
+            }
+            let seq = back.seq;
+            self.completion[(seq % COMPLETION_RING as u64) as usize] = self.now;
+            self.rob.pop_back();
+            if O::ENABLED {
+                self.obs.squashed(self.now, seq);
+            }
+        }
+        self.engine.redirect(self.now, r.target, &r.cp, &r.resolved);
         self.on_correct = true;
         self.recovery = None;
     }
@@ -721,35 +668,38 @@ impl<'a, O: Observer> Processor<'a, O> {
         self.engine.cycle(self.now, self.image, &mut self.mem, &mut buf);
         let mut accepted = 0u64;
         let mut redirected = false;
-        for (i, fi) in buf.iter().enumerate() {
-            let fi = *fi;
+        let mut last_accepted = None;
+        for fi in &buf {
             if !self.on_correct {
-                self.push_rob(fi, None, false, false);
+                self.push_rob(fi, true, false, false);
                 continue;
             }
-            let d = self.peek_oracle();
-            if fi.pc != d.pc {
+            // Verify against the oracle's next pc in place; its record is
+            // drawn only once it matches, straight into the ROB.
+            let target = self.oracle.pc();
+            if fi.pc != target {
                 // The front-end fetched the wrong instruction without a
                 // mispredicted branch carrying the error (e.g. a stale
                 // stream length over a non-branch): the decoder's PC check
                 // catches it — resync with a decode bubble.
                 self.stats.misfetches += 1;
-                let target = d.pc;
                 let resolved =
                     ResolvedBranch { pc: fi.pc, kind: None, taken: false, target };
-                self.decode_redirect(fi.cp, target, resolved);
+                self.decode_redirect(&fi.cp, target, resolved);
                 redirected = true;
                 break; // drop the rest of the bundle
             }
-            let d = self.take_oracle();
+            let d = self.oracle.next_inst().expect("executor is infinite");
             accepted += 1;
-            self.last_cp = fi.cp;
+            last_accepted = Some(fi);
+            let mut anchor = false;
+            let mut misfetch = None;
             match (fi.pred, d.control) {
                 (Some(p), Some(c)) => {
                     let dir_ok = p.taken == c.taken;
                     let target_ok = !c.taken || !p.taken || p.target == c.target;
                     if dir_ok && target_ok {
-                        self.push_rob(fi, Some(d), false, false);
+                        // Correctly predicted: dispatch as is.
                     } else if !p.taken
                         && c.taken
                         && matches!(c.kind, BranchKind::Jump | BranchKind::Call)
@@ -757,18 +707,13 @@ impl<'a, O: Observer> Processor<'a, O> {
                         // An unidentified *direct, unconditional* branch:
                         // the decoder sees the target and redirects with a
                         // small bubble (misfetch), no execute-time penalty.
-                        self.stats.misfetches += 1;
-                        self.push_rob(fi, Some(d), false, true);
                         let resolved = ResolvedBranch {
                             pc: d.pc,
                             kind: Some(c.kind),
                             taken: true,
                             target: c.target,
                         };
-                        self.decode_redirect(fi.cp, c.next_pc, resolved);
-                        redirected = true;
-                        let _ = i;
-                        break;
+                        misfetch = Some((c.next_pc, resolved));
                     } else {
                         // Full misprediction: recover when the branch
                         // executes.
@@ -786,10 +731,10 @@ impl<'a, O: Observer> Processor<'a, O> {
                             resolve_at: None,
                         });
                         self.on_correct = false;
-                        self.push_rob(fi, Some(d), true, false);
+                        anchor = true;
                     }
                 }
-                (None, None) => self.push_rob(fi, Some(d), false, false),
+                (None, None) => {}
                 // Engines attach predictions to every branch they decode and
                 // the oracle walks the same image, so these cases indicate a
                 // simulator bug.
@@ -797,6 +742,18 @@ impl<'a, O: Observer> Processor<'a, O> {
                     unreachable!("prediction/control mismatch at {}", fi.pc)
                 }
             }
+            let slot = self.push_rob(fi, false, anchor, misfetch.is_some());
+            *self.rob.cold_mut(slot) =
+                ColdEntry { pc: d.pc, mem_addr: d.mem_addr, control: d.control };
+            if let Some((target, resolved)) = misfetch {
+                self.stats.misfetches += 1;
+                self.decode_redirect(&fi.cp, target, resolved);
+                redirected = true;
+                break;
+            }
+        }
+        if let Some(fi) = last_accepted {
+            self.last_cp = fi.cp;
         }
         self.fetch_buf = buf;
         if accepted > 0 {
@@ -807,50 +764,48 @@ impl<'a, O: Observer> Processor<'a, O> {
         FetchOutcome::Ran { accepted, redirected }
     }
 
-    fn decode_redirect(&mut self, cp: Checkpoint, target: Addr, resolved: ResolvedBranch) {
-        self.engine.redirect(self.now, target, &cp, &resolved);
+    fn decode_redirect(&mut self, cp: &Checkpoint, target: Addr, resolved: ResolvedBranch) {
+        self.engine.redirect(self.now, target, cp, &resolved);
         self.fetch_hold_until = self.now + u64::from(self.config.front.decode_redirect_lat);
     }
 
-    fn push_rob(&mut self, fi: FetchedInst, oracle: Option<DynInst>, anchor: bool, misfetch: bool) {
+    /// Dispatches `fi` into the ROB and returns its ring slot. Only the
+    /// scheduling record is written here: the checkpoint and prediction
+    /// stay in the fetch stage, and the caller writes a correct-path
+    /// entry's retire record from the oracle (wrong-path entries have
+    /// none).
+    fn push_rob(
+        &mut self,
+        fi: &FetchedInst,
+        wrong_path: bool,
+        anchor: bool,
+        misfetch: bool,
+    ) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
         if O::ENABLED {
-            self.obs.fetched(self.now, seq, fi.pc, oracle.is_none());
+            self.obs.fetched(self.now, seq, fi.pc, wrong_path);
         }
         self.completion[(seq % COMPLETION_RING as u64) as usize] = u64::MAX;
-        self.pos_key[(seq % COMPLETION_RING as u64) as usize] =
-            self.rob.len() as u64 + self.total_pops;
-        let ready_at = self.now + u64::from(self.config.front_latency());
-        self.rob.push_back(RobEntry {
+        let hot = HotEntry {
             seq,
-            fi,
-            oracle,
+            ready_at: self.now + u64::from(self.config.front_latency()),
+            done_at: u64::MAX,
+            class: fi.inst.class(),
+            deps: [fi.inst.dep1().get(), fi.inst.dep2().get()],
+            wrong_path,
             anchor,
             misfetch,
-            ready_at,
             issued: false,
-            done_at: u64::MAX,
             has_waiters: false,
-        });
+        };
+        let slot = self.rob.push(hot);
         if !self.config.legacy_scan {
             // Dispatch event: the entry sleeps until it clears the front
             // pipeline, then re-evaluates its dependence obstacles.
             self.sched.push_arrival(seq);
         }
-    }
-
-    fn peek_oracle(&mut self) -> DynInst {
-        if self.pending_oracle.is_none() {
-            self.pending_oracle = self.oracle.next_inst();
-        }
-        self.pending_oracle.expect("executor is infinite")
-    }
-
-    fn take_oracle(&mut self) -> DynInst {
-        let d = self.peek_oracle();
-        self.pending_oracle = None;
-        d
+        slot
     }
 
     /// Safety net: if the front-end wedges on a wrong path without an
@@ -864,25 +819,11 @@ impl<'a, O: Observer> Processor<'a, O> {
         self.stats.watchdog_resyncs += 1;
         // Squash all wrong-path work and restart cleanly from the oracle.
         if let Some(r) = self.recovery {
-            while let Some(back) = self.rob.back() {
-                if back.seq <= r.anchor_seq {
-                    break;
-                }
-                let seq = back.seq;
-                self.completion[(seq % COMPLETION_RING as u64) as usize] = self.now;
-                self.rob.pop_back();
-                if O::ENABLED {
-                    self.obs.squashed(self.now, seq);
-                }
-            }
-            self.engine.redirect(self.now, r.target, &r.cp, &r.resolved);
-            self.on_correct = true;
-            self.recovery = None;
+            self.unwind(&r);
         } else {
-            let d = self.peek_oracle();
-            let resolved = ResolvedBranch { pc: d.pc, kind: None, taken: false, target: d.pc };
-            let cp = self.last_cp;
-            self.engine.redirect(self.now, d.pc, &cp, &resolved);
+            let pc = self.oracle.pc();
+            let resolved = ResolvedBranch { pc, kind: None, taken: false, target: pc };
+            self.engine.redirect(self.now, pc, &self.last_cp, &resolved);
         }
         self.last_progress = self.now;
         true

@@ -380,6 +380,7 @@ impl<'a> OracleSource<'a> {
     }
 
     /// Address of the next instruction the source will yield.
+    #[inline]
     pub fn pc(&self) -> Addr {
         match self {
             OracleSource::Live(exec) => exec.pc(),
