@@ -13,13 +13,13 @@
 //! L1i once warm) records how much fetch-stall time the non-blocking
 //! miss pipeline recovers.
 //!
-//! Two v4 additions: `redecode_ab` measures the stream engine's
-//! decoded-line cache (wrong-path re-decode elimination) at a 1024-entry
-//! ROB, asserting bit-identical simulated statistics with the cache on
-//! or off; and `sampling_ab` runs the 50M-instruction phased workload
-//! both straight through and under SMARTS sampling (`sfetch-sample`),
-//! recording the IPC estimate, its confidence interval, the relative
-//! error against the full run, and the wall-clock speedup.
+//! The v4 addition `sampling_ab` runs the 50M-instruction phased
+//! workload both straight through and under SMARTS sampling
+//! (`sfetch-sample`), recording the IPC estimate, its confidence
+//! interval, the relative error against the full run, and the
+//! wall-clock speedup. (v4's `redecode_ab` measured a decoded-line
+//! cache in the stream engine; the cache lost 2–3% and was removed —
+//! the measurement stays on record in `BENCH_4.json`.)
 //!
 //! The v5 addition is the **`calibration_grid`** section: the full
 //! Fig. 8 engines × widths grid on the 50M phased workload, measured by
@@ -77,8 +77,9 @@
 //! The v10 addition is the **`batch_ab`** section, measuring batched
 //! multi-window execution (`sfetch_sample::BatchSampler`): the full
 //! Fig. 8 grid swept three ways against one shared pre-populated store
-//! — per-window (every cell re-walks every window's functional span),
-//! batched (one shared sweep drives every cell of a window, bank off),
+//! — per-window (one-cell batches: every cell re-walks every window's
+//! functional span), batched (one shared sweep drives every cell of a
+//! window, bank off),
 //! and composed (batched + warm-state bank restore, the resident
 //! steady state, where the shared sweep shrinks to the detailed span).
 //! All three merges are asserted byte-identical; at the default
@@ -92,7 +93,8 @@
 //! `BENCH_7.json`: front-pipeline calibration; `BENCH_8.json`: cycle
 //! accounting; `BENCH_9.json`: warm-state banking); see README.md for
 //! the `sfetch-perfstats-v10` schema — all v9 sections carry over
-//! unchanged.
+//! unchanged except `redecode_ab`, which is gone with the cache it
+//! measured.
 //!
 //! ```text
 //! cargo run --release -p sfetch-bench --bin perfstats \
@@ -113,8 +115,8 @@ use sfetch_bench::fleet_grid::{
     maybe_run_fleet_child, run_fleet_grid, FleetGridOutcome, FleetGridSpec,
 };
 use sfetch_bench::grid::{
-    cell_config, cells, engine_key, grid_engines, point_line, run_cell_range, run_cells_batched,
-    spread_at_width, CellRun, GridCell, FIG8_WIDTHS,
+    cell_config, cells, engine_key, grid_engines, point_line, run_cells_batched, spread_at_width,
+    CellRun, GridCell, FIG8_WIDTHS,
 };
 use sfetch_bench::obs::{write_sampled_obs, KonataObserver, ObsOpts};
 use sfetch_bench::{ablation_workloads, timed, HarnessOpts};
@@ -122,10 +124,10 @@ use sfetch_core::{
     CycleBuckets, NullObserver, Observer, PrefetchConfig, Processor, ProcessorConfig, SimStats,
 };
 use sfetch_obs::KonataTrace;
-use sfetch_fetch::{EngineKind, FetchEngine, StreamEngine};
+use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    estimate, run_full_detailed, run_sampled_jobs, CheckpointStore, Estimate, SamplePoint,
-    StoredSampler,
+    estimate, run_full_detailed, run_sampled_jobs, BatchCell, BatchSampler, CheckpointStore,
+    Estimate, SamplePoint, StoreStats,
 };
 use sfetch_trace::Executor;
 use sfetch_workloads::{par_map, phased, LayoutChoice, Workload};
@@ -178,19 +180,18 @@ impl TimedLeg {
     }
 }
 
-/// Warms up a fresh processor around an explicitly built engine, then
-/// times exactly the measured window. Returns the decoded-line-cache
-/// counters alongside (zeros for engines without one).
-fn timed_run_engine(
+/// Warms up a fresh processor, then times exactly the measured window.
+fn timed_run(
     w: &Workload,
-    engine: Box<dyn FetchEngine>,
+    kind: EngineKind,
     mut pc: ProcessorConfig,
     legacy_scan: bool,
     warmup: u64,
     insts: u64,
-) -> (sfetch_core::SimStats, TimedLeg, (u64, u64)) {
+) -> (sfetch_core::SimStats, TimedLeg) {
     pc.legacy_scan = legacy_scan;
     let image = w.image(LayoutChoice::Optimized);
+    let engine = kind.build_for(pc.width, image.entry(), &pc.prefetch, &pc.front);
     let mut p = Processor::new(pc, engine, w.cfg(), image, w.ref_seed());
     p.run(warmup);
     p.reset_stats();
@@ -198,23 +199,7 @@ fn timed_run_engine(
     p.run(insts);
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = p.stats();
-    let decode = p.engine().decode_counters();
-    (stats, TimedLeg { wall_s, cycles: stats.cycles, committed: stats.committed }, decode)
-}
-
-/// Warms up a fresh processor, then times exactly the measured window.
-fn timed_run(
-    w: &Workload,
-    kind: EngineKind,
-    pc: ProcessorConfig,
-    legacy_scan: bool,
-    warmup: u64,
-    insts: u64,
-) -> (sfetch_core::SimStats, TimedLeg) {
-    let image = w.image(LayoutChoice::Optimized);
-    let engine = kind.build_for(pc.width, image.entry(), &pc.prefetch, &pc.front);
-    let (stats, leg, _) = timed_run_engine(w, engine, pc, legacy_scan, warmup, insts);
-    (stats, leg)
+    (stats, TimedLeg { wall_s, cycles: stats.cycles, committed: stats.committed })
 }
 
 fn measure_engine(workloads: &[Workload], kind: EngineKind, opts: HarnessOpts) -> EngineRow {
@@ -385,47 +370,6 @@ fn measure_prefetch_ab(w: &Workload, kind: EngineKind, opts: HarnessOpts) -> [Pr
     })
 }
 
-/// The wrong-path re-decode A/B: stream engine at a 1024-entry ROB (deep
-/// speculation — each misprediction re-fetches, and without the cache
-/// re-decodes, the recovery region), decoded-line cache on vs off.
-/// Simulated statistics are asserted bit-identical, so the wall-clock
-/// ratio is a pure host-side delta. Best-of-3 per leg. Measurement
-/// verdict: the cache **loses** ~2–3% (decode on the interned image is
-/// one array read), which is why it defaults off; the A/B stays to keep
-/// the negative result on the record.
-fn measure_redecode(w: &Workload, opts: HarnessOpts) -> (TimedLeg, TimedLeg, (u64, u64)) {
-    let mut pc = ProcessorConfig::table2(8);
-    pc.rob_entries = LARGE_ROB;
-    let entry = w.image(LayoutChoice::Optimized).entry();
-    let mut best: [Option<(sfetch_core::SimStats, TimedLeg)>; 2] = [None, None];
-    let mut counters = (0, 0);
-    for _rep in 0..3 {
-        for (slot, cached) in [(0, true), (1, false)] {
-            let eng = StreamEngine::table2(8, entry);
-            let eng = if cached { eng.with_decode_cache() } else { eng };
-            let (stats, leg, dec) =
-                timed_run_engine(w, Box::new(eng), pc, opts.legacy_scan, opts.warmup, opts.insts);
-            if cached {
-                counters = dec;
-            }
-            match &best[slot] {
-                Some((prev_stats, prev)) => {
-                    assert_eq!(&stats, prev_stats, "repeat runs must be deterministic");
-                    if leg.wall_s < prev.wall_s {
-                        best[slot] = Some((stats, leg));
-                    }
-                }
-                None => best[slot] = Some((stats, leg)),
-            }
-        }
-    }
-    let [on, off] = best;
-    let (on_stats, on_leg) = on.expect("ran");
-    let (off_stats, off_leg) = off.expect("ran");
-    assert_eq!(on_stats, off_stats, "decode cache changed simulated results — not a pure host win");
-    (on_leg, off_leg, counters)
-}
-
 /// The tracing-off vs tracing-on A/B record.
 struct ObsOverhead {
     off: TimedLeg,
@@ -585,6 +529,31 @@ struct CalibrationGrid {
 /// The headline cell whose cold-store vs warm-store rerun is recorded.
 const AB_CELL: GridCell = GridCell { engine: EngineKind::Stream, width: 8 };
 
+/// One cell's windows `0..windows` through a one-cell batch, with the
+/// checkpoint-store traffic it caused.
+fn run_cell(
+    w: &Workload,
+    cell: GridCell,
+    scfg: sfetch_sample::SampleConfig,
+    opts: &HarnessOpts,
+    store: &CheckpointStore,
+    windows: u64,
+) -> (Vec<SamplePoint>, StoreStats) {
+    let (mut per_cell, traffic) = run_cells_batched(w, &[cell], 1, scfg, opts, store, 0..windows);
+    (per_cell.remove(0), traffic)
+}
+
+/// A fresh [`BatchSampler`] over the phased workload's optimized image.
+fn sampler<'a>(
+    w: &'a Workload,
+    scfg: sfetch_sample::SampleConfig,
+    store: &'a CheckpointStore,
+) -> BatchSampler<'a> {
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    BatchSampler::new(img, fp, w.ref_seed(), scfg, store)
+}
+
 /// Runs the Fig. 8 engines × widths grid on the phased workload by
 /// sampling through a fresh checkpoint store.
 ///
@@ -604,11 +573,11 @@ fn measure_calibration_grid(w: &Workload, opts: HarnessOpts, obs: &ObsOpts) -> C
     let _ = std::fs::remove_dir_all(&store_dir);
     let store = CheckpointStore::open(&store_dir).expect("open calibration store");
 
-    let (cold, cold_wall_s) = timed(|| run_cell_range(w, AB_CELL, scfg, &opts, &store, 0..windows));
+    let (cold, cold_wall_s) = timed(|| run_cell(w, AB_CELL, scfg, &opts, &store, windows));
     let (cold_points, cold_traffic) = cold;
     assert_eq!(cold_traffic.hits, 0, "store A/B cold leg must start from an empty store");
 
-    let (warm, warm_wall_s) = timed(|| run_cell_range(w, AB_CELL, scfg, &opts, &store, 0..windows));
+    let (warm, warm_wall_s) = timed(|| run_cell(w, AB_CELL, scfg, &opts, &store, windows));
     let (warm_points, warm_traffic) = warm;
     assert_eq!(
         cold_points, warm_points,
@@ -627,7 +596,7 @@ fn measure_calibration_grid(w: &Workload, opts: HarnessOpts, obs: &ObsOpts) -> C
             let points = if cell == AB_CELL {
                 cold_points.clone()
             } else {
-                run_cell_range(w, cell, scfg, &opts, &store, 0..windows).0
+                run_cell(w, cell, scfg, &opts, &store, windows).0
             };
             let est = estimate(&points, scfg.confidence);
             CellRun { cell, points, estimate: est }
@@ -637,17 +606,14 @@ fn measure_calibration_grid(w: &Workload, opts: HarnessOpts, obs: &ObsOpts) -> C
     // windows through the now-warm store, this time keeping the full
     // per-window `SimStats`, and aggregate. A pure side pass — the grid
     // estimates above are already final.
-    let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
     let bucket_rows: Vec<(EngineKind, SimStats)> = grid_engines()
         .iter()
         .map(|&kind| {
-            let cell = GridCell { engine: kind, width: 8 };
-            let mut sampler = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store);
-            let results =
-                sampler.run_range_stats(kind, cell_config(cell, &opts), 0..windows, opts.jobs);
+            let pcfg = cell_config(GridCell { engine: kind, width: 8 }, &opts);
+            let cell = BatchCell { kind, pcfg };
+            let results = sampler(w, scfg, &store).run_range(&[cell], 0..windows, opts.jobs);
             let mut agg = SimStats::default();
-            for (_, s) in &results {
+            for (_, s) in &results[0] {
                 agg.accumulate(s);
             }
             assert_eq!(agg.buckets.sum(), agg.cycles, "grid cycle accounting must be exhaustive");
@@ -706,9 +672,7 @@ fn measure_fleet_resilience(w: &Workload, opts: HarnessOpts) -> FleetResilience 
     let _ = std::fs::remove_dir_all(&store_dir);
     {
         let store = CheckpointStore::open(&store_dir).expect("open fleet A/B store");
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).populate(windows);
+        sampler(w, scfg, &store).populate(windows);
     }
 
     let run = |chaos: Option<u64>| {
@@ -782,19 +746,16 @@ fn measure_serve_ab(w: &Workload, opts: HarnessOpts) -> ServeAb {
     let store_dir = std::env::temp_dir().join(format!("sfetch-serveab-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let store = CheckpointStore::open(&store_dir).expect("open serve A/B store");
-    let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
-    let pcfg = cell_config(AB_CELL, &opts);
+    let cell = [BatchCell { kind: AB_CELL.engine, pcfg: cell_config(AB_CELL, &opts) }];
 
-    let mut cold = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
-    let (cold_points, cold_wall_s) =
-        timed(|| cold.run_range(AB_CELL.engine, pcfg, 0..windows, opts.jobs));
+    let mut cold = sampler(w, scfg, &store).with_warm_bank(true);
+    let (cold_points, cold_wall_s) = timed(|| cold.run_range_points(&cell, 0..windows, opts.jobs));
     let cold_bank = cold.warm_bank_stats();
     assert_eq!(cold_bank.hits, 0, "serve A/B cold leg must start from an empty warm bank");
 
-    let mut banked = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
+    let mut banked = sampler(w, scfg, &store).with_warm_bank(true);
     let (banked_points, banked_wall_s) =
-        timed(|| banked.run_range(AB_CELL.engine, pcfg, 0..windows, opts.jobs));
+        timed(|| banked.run_range_points(&cell, 0..windows, opts.jobs));
     let banked_bank = banked.warm_bank_stats();
     assert_eq!(
         banked_bank.hits, windows,
@@ -841,8 +802,8 @@ struct BatchAb {
 /// the default 50M-instruction grid scale.
 const BATCH_AB_MIN_SPEEDUP: f64 = 5.0;
 
-/// Sweeps the full Fig. 8 grid three ways: per-window (every cell
-/// re-walks every window's functional span through its own executor),
+/// Sweeps the full Fig. 8 grid three ways: per-window (one-cell
+/// batches: every cell re-walks every window's functional span),
 /// batched (one shared functional sweep per window drives every cell,
 /// bank off), and composed (batched + warm-bank restore — the resident
 /// steady state, where the shared sweep starts at the post-warm
@@ -858,11 +819,7 @@ fn measure_batch_ab(w: &Workload, opts: HarnessOpts) -> BatchAb {
     let store = CheckpointStore::open(&store_dir).expect("open batch A/B store");
     // All legs share pre-populated fast-forward checkpoints, so the A/B
     // isolates the window-sweep cost the batch executor removes.
-    {
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).populate(windows);
-    }
+    sampler(w, scfg, &store).populate(windows);
     let lines = |points: &[Vec<SamplePoint>]| -> Vec<String> {
         grid.iter()
             .zip(points)
@@ -872,11 +829,8 @@ fn measure_batch_ab(w: &Workload, opts: HarnessOpts) -> BatchAb {
     let mut no_bank = opts;
     no_bank.warm_bank = false;
 
-    let (per_window, per_window_wall_s) = timed(|| {
-        grid.iter()
-            .map(|&c| run_cell_range(w, c, scfg, &no_bank, &store, 0..windows).0)
-            .collect::<Vec<_>>()
-    });
+    let (per_window, per_window_wall_s) =
+        timed(|| run_cells_batched(w, &grid, 1, scfg, &no_bank, &store, 0..windows).0);
     eprintln!("  per-window leg: {per_window_wall_s:.2}s");
 
     let (batched, batched_wall_s) =
@@ -1072,18 +1026,6 @@ fn main() {
         ab_rows.push((kind, off, on));
     }
 
-    // Wrong-path re-decode A/B: decoded-line cache on/off at ROB 1024.
-    let (dec_on, dec_off, (dec_hits, dec_misses)) = measure_redecode(large_w, opts);
-    let dec_speedup = dec_off.ns_per_cycle() / dec_on.ns_per_cycle();
-    println!(
-        "\nwrong-path re-decode point (decoded-line cache, rob_entries = {LARGE_ROB}, Streams/{}):\n  \
-         cache on {:.2} ns/cyc, cache off {:.2} ns/cyc → {dec_speedup:.2}× \
-         ({dec_hits} line hits / {dec_misses} misses)",
-        large_w.name(),
-        dec_on.ns_per_cycle(),
-        dec_off.ns_per_cycle(),
-    );
-
     // Sampling A/B: the long-horizon phased workload, full vs sampled.
     eprintln!("building phased long-horizon workload…");
     let (phased_w, phased_build_s) = timed(phased::long_workload);
@@ -1233,7 +1175,6 @@ fn main() {
         &front_rows,
         (large_w.name(), &event, &scan, speedup),
         (ab_w.name(), &ab_rows),
-        (large_w.name(), &dec_on, &dec_off, dec_speedup, (dec_hits, dec_misses)),
         (phased_w.name(), &full, &sampled, &est, windows, phased_build_s),
         (phased_w.name(), &calib, full.ipc),
         (phased_w.name(), &fleet),
@@ -1256,7 +1197,6 @@ fn render_json(
     front_rows: &[FrontRow],
     large_rob: (&str, &TimedLeg, &TimedLeg, f64),
     prefetch_ab: (&str, &[(EngineKind, PrefetchLeg, PrefetchLeg)]),
-    redecode_ab: (&str, &TimedLeg, &TimedLeg, f64, (u64, u64)),
     sampling_ab: (&str, &SamplingLeg, &SamplingLeg, &Estimate, u64, f64),
     calibration: (&str, &CalibrationGrid, f64),
     fleet: (&str, &FleetResilience),
@@ -1356,21 +1296,6 @@ fn render_json(
         }
     }
     s.push_str("    ]\n");
-    s.push_str("  },\n");
-    let (rd_bench, rd_on, rd_off, rd_speedup, (rd_hits, rd_misses)) = redecode_ab;
-    s.push_str("  \"redecode_ab\": {\n");
-    let _ = writeln!(s, "    \"bench\": \"{rd_bench}\", \"engine\": \"Streams\", \"width\": 8,");
-    let _ = writeln!(s, "    \"rob_entries\": {LARGE_ROB}, \"insts\": {},", opts.insts);
-    for (name, leg) in [("cache_on", rd_on), ("cache_off", rd_off)] {
-        let _ = writeln!(
-            s,
-            "    \"{name}\": {{\"wall_s\": {:.3}, \"ns_per_cycle\": {:.2}}},",
-            leg.wall_s,
-            leg.ns_per_cycle()
-        );
-    }
-    let _ = writeln!(s, "    \"decode_hits\": {rd_hits}, \"decode_misses\": {rd_misses},");
-    let _ = writeln!(s, "    \"speedup\": {rd_speedup:.3}");
     s.push_str("  },\n");
     let (sa_bench, sa_full, sa_sampled, sa_est, sa_windows, sa_build_s) = sampling_ab;
     let sa_rel_err = if sa_full.ipc > 0.0 {

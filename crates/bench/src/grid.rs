@@ -1,13 +1,12 @@
 //! The **single source of truth** for the paper's evaluation grid —
 //! engines × pipe widths — plus the store-backed sampled-grid runner
-//! and the shard-file plumbing the multi-process binaries share.
+//! and the shard-file format the fleet workers and the daemon share.
 //!
 //! Before this module, every figure binary re-declared its own engine
 //! and width axes; a drifted axis would have silently compared
-//! different grids. `figure8`/`figure9` and their `_sampled` siblings,
-//! `shard_runner`, and `perfstats`' calibration section all pull the
-//! axes, the sampled-grid schedule, and the engine-key spellings from
-//! here.
+//! different grids. `figure8`/`figure9` and their `_sampled` siblings
+//! and `perfstats`' calibration section all pull the axes, the
+//! sampled-grid schedule, and the engine-key spellings from here.
 
 use std::fmt;
 use std::ops::Range;
@@ -17,14 +16,14 @@ use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
     estimate, BatchCell, BatchSampler, CheckpointStore, Estimate, SampleConfig, SamplePoint,
-    StoreStats, StoredSampler,
+    StoreStats,
 };
 use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::HarnessOpts;
 
 /// What can go wrong in the grid plumbing — CLI axis specs, shard
-/// files, child processes, merging. Every path that used to
+/// files, merging. Every path that used to
 /// `expect`/`panic!` now reports one of these so the binaries can exit
 /// nonzero with a readable message (and the fleet supervisor can charge
 /// the failure to a cell and retry) instead of tearing the run down.
@@ -40,23 +39,6 @@ pub enum GridError {
         path: PathBuf,
         /// The underlying error, stringified.
         err: String,
-    },
-    /// A shard child process could not be spawned.
-    Spawn {
-        /// Shard index.
-        shard: usize,
-        /// The underlying error, stringified.
-        err: String,
-    },
-    /// A shard child exited unsuccessfully. Raised **before** its
-    /// output file is even read: a nonzero exit fails the shard even if
-    /// a parseable file exists (the process may know something the file
-    /// doesn't).
-    ShardFailed {
-        /// Shard index.
-        shard: usize,
-        /// The exit status, stringified.
-        status: String,
     },
     /// A shard file is truncated, corrupt, or malformed.
     ShardParse {
@@ -80,10 +62,6 @@ impl fmt::Display for GridError {
         match self {
             GridError::Cli(msg) => f.write_str(msg),
             GridError::Io { what, path, err } => write!(f, "{what} {}: {err}", path.display()),
-            GridError::Spawn { shard, err } => write!(f, "spawn shard {shard}: {err}"),
-            GridError::ShardFailed { shard, status } => {
-                write!(f, "shard {shard} failed: {status}")
-            }
             GridError::ShardParse { line: 0, what } => write!(f, "shard file: {what}"),
             GridError::ShardParse { line, what } => write!(f, "shard file line {line}: {what}"),
             GridError::Merge { cell, what } => write!(f, "cell {cell}: {what}"),
@@ -237,31 +215,13 @@ pub struct CellRun {
     pub estimate: Estimate,
 }
 
-/// Runs one cell's window range through the checkpoint store with the
-/// given sampling schedule (`--sample` for `shard_runner`,
-/// `--grid-sample` for the figure bins).
-pub fn run_cell_range(
-    w: &Workload,
-    cell: GridCell,
-    scfg: SampleConfig,
-    opts: &HarnessOpts,
-    store: &CheckpointStore,
-    range: Range<u64>,
-) -> (Vec<SamplePoint>, StoreStats) {
-    let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
-    let mut s =
-        StoredSampler::new(img, fp, w.ref_seed(), scfg, store).with_warm_bank(opts.warm_bank);
-    let pts = s.run_range(cell.engine, cell_config(cell, opts), range, opts.jobs);
-    (pts, s.stats())
-}
-
 /// Runs a cell list's shared window range through batched sweeps: the
 /// cells are chunked into groups of up to `batch` and each group rides
 /// one [`BatchSampler`] — one recorded functional walk per window per
-/// group instead of one per window per cell. Returns per-cell window
-/// lists in cell order plus the total checkpoint-store traffic.
-/// Bit-identical to [`run_cell_range`] per cell, for any `batch`.
+/// group instead of one per window per cell (a group of one is how a
+/// lone cell runs). Returns per-cell window lists in cell order plus the
+/// total checkpoint-store traffic. Bit-identical per cell for any
+/// `batch`.
 pub fn run_cells_batched(
     w: &Workload,
     cells: &[GridCell],
@@ -283,21 +243,6 @@ pub fn run_cells_batched(
         let mut s =
             BatchSampler::new(img, fp, w.ref_seed(), scfg, store).with_warm_bank(opts.warm_bank);
         out.extend(s.run_range_points(&bcells, range.clone(), opts.jobs));
-        if std::env::var_os("SFETCH_BATCH_DEBUG").is_some() {
-            let t = s.timing();
-            let wb = s.warm_bank_stats();
-            let (ch, cm) = store.warm_cache_traffic();
-            eprintln!(
-                "    [batch debug] ff {:.3}s warm {:.3}s bank h/m/r {}/{}/{} cache h/m {}/{}",
-                t.ff_ns as f64 / 1e9,
-                t.warm_ns as f64 / 1e9,
-                wb.hits,
-                wb.misses,
-                wb.rejected,
-                ch,
-                cm
-            );
-        }
         let st = s.stats();
         total.hits += st.hits;
         total.misses += st.misses;
@@ -306,10 +251,10 @@ pub fn run_cells_batched(
     (out, total)
 }
 
-/// Runs the whole grid for one workload through the store, returning
-/// per-cell estimates plus the total store traffic. With `--batch N > 1`
-/// the cells ride batched sweeps ([`run_cells_batched`]); otherwise cell
-/// by cell. Either way the points are bit-identical.
+/// Runs the whole grid for one workload through the store in groups of
+/// up to `--batch N` cells ([`run_cells_batched`]), returning per-cell
+/// estimates plus the total store traffic. The points are bit-identical
+/// for any group size.
 pub fn run_sampled_grid(
     w: &Workload,
     cells: &[GridCell],
@@ -319,26 +264,11 @@ pub fn run_sampled_grid(
     store: &CheckpointStore,
 ) -> (Vec<CellRun>, StoreStats) {
     let windows = scfg.windows(total_insts);
-    if opts.batch > 1 {
-        let (per_cell, total) = run_cells_batched(w, cells, opts.batch, scfg, opts, store, 0..windows);
-        let runs = cells
-            .iter()
-            .zip(per_cell)
-            .map(|(&cell, points)| {
-                let estimate = estimate(&points, scfg.confidence);
-                CellRun { cell, points, estimate }
-            })
-            .collect();
-        return (runs, total);
-    }
-    let mut total = StoreStats::default();
+    let (per_cell, total) = run_cells_batched(w, cells, opts.batch, scfg, opts, store, 0..windows);
     let runs = cells
         .iter()
-        .map(|&cell| {
-            let (points, st) = run_cell_range(w, cell, scfg, opts, store, 0..windows);
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.rejected += st.rejected;
+        .zip(per_cell)
+        .map(|(&cell, points)| {
             let estimate = estimate(&points, scfg.confidence);
             CellRun { cell, points, estimate }
         })
@@ -448,168 +378,22 @@ pub fn parse_shard_body(body: &str) -> Result<Vec<(String, usize, SamplePoint)>,
     Ok(out)
 }
 
-/// Seals `body` with the checksum trailer and writes it **atomically**
-/// (temp sibling + rename), so a reader never observes a half-written
-/// shard file and a died writer leaves either nothing or a complete,
-/// verifiable file.
+/// Writes a sealed shard file's `text` **atomically** (temp sibling +
+/// rename), so a reader never observes a half-written shard file and a
+/// died writer leaves either nothing or a complete file.
 ///
 /// # Errors
 ///
 /// [`GridError::Io`] on any filesystem failure.
-pub fn write_shard_atomic(path: &Path, body: &str) -> Result<(), GridError> {
-    let sealed = sfetch_fleet::seal(body);
+pub fn write_shard_atomic(path: &Path, text: &str) -> Result<(), GridError> {
     let tmp = path.with_extension("part");
-    std::fs::write(&tmp, sealed.as_bytes())
+    std::fs::write(&tmp, text.as_bytes())
         .map_err(|e| GridError::Io { what: "write shard file", path: tmp.clone(), err: e.to_string() })?;
     std::fs::rename(&tmp, path).map_err(|e| GridError::Io {
         what: "rename shard file into place",
         path: path.to_path_buf(),
         err: e.to_string(),
     })
-}
-
-/// Reads and parses a sealed shard file.
-///
-/// # Errors
-///
-/// [`GridError::Io`] on read failure, [`GridError::ShardParse`] on
-/// verification/parse failure.
-pub fn read_shard_file(path: &Path) -> Result<Vec<(String, usize, SamplePoint)>, GridError> {
-    let text = std::fs::read_to_string(path).map_err(|e| GridError::Io {
-        what: "read shard file",
-        path: path.to_path_buf(),
-        err: e.to_string(),
-    })?;
-    parse_shard_file(&text)
-}
-
-/// Renders one shard's slice of the grid as a complete shard file: the
-/// child-mode body both multi-process binaries (`shard_runner`,
-/// `figure8_sampled`) share.
-pub fn shard_file_text(
-    w: &Workload,
-    grid: &[GridCell],
-    windows: u64,
-    scfg: SampleConfig,
-    opts: &HarnessOpts,
-    store: &CheckpointStore,
-    shard: sfetch_sample::ShardSpec,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\": \"{GRID_SHARD_SCHEMA}\", \"shard\": \"{shard}\", \"bench\": \"{}\",\n",
-        w.name()
-    ));
-    out.push_str(" \"points\": [\n");
-    let mut first = true;
-    let mut emit = |cell: GridCell, pts: Vec<SamplePoint>, out: &mut String| {
-        for p in pts {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("  ");
-            out.push_str(&point_line(cell, &p));
-        }
-    };
-    let items = grid_shard_items(grid.len(), windows, shard);
-    let mut i = 0;
-    while i < items.len() {
-        let range = items[i].1.clone();
-        // Consecutive cells sharing the same window range ride one
-        // batched sweep (`--batch N`); a lone or range-split item runs
-        // the classic per-cell path. Output order and bytes are
-        // identical either way.
-        let mut j = i + 1;
-        while opts.batch > 1 && j < items.len() && j - i < opts.batch && items[j].1 == range {
-            j += 1;
-        }
-        if j - i > 1 {
-            let group: Vec<GridCell> = items[i..j].iter().map(|&(ci, _)| grid[ci]).collect();
-            let (per_cell, _) =
-                run_cells_batched(w, &group, opts.batch, scfg, opts, store, range);
-            for (&cell, pts) in group.iter().zip(per_cell) {
-                emit(cell, pts, &mut out);
-            }
-        } else {
-            let cell = grid[items[i].0];
-            let (pts, _) = run_cell_range(w, cell, scfg, opts, store, range);
-            emit(cell, pts, &mut out);
-        }
-        i = j;
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Spawns `procs` copies of the **current executable** (one per shard),
-/// waits for all of them, and parses their shard files back into
-/// `(engine key, width, point)` tuples. `child_args` builds the full
-/// argument list for shard `i` with its output file path.
-///
-/// This is the plain one-shot fan-out (`--no-fleet`); the fleet
-/// supervisor (`sfetch_fleet::run_fleet` driven by
-/// [`crate::fleet_grid`]) supersedes it with leases, retries, and
-/// resume. Exit statuses are checked for **every** child before any
-/// shard file is read: a nonzero exit fails the run even if that child
-/// left a parseable file behind.
-///
-/// # Errors
-///
-/// [`GridError::Spawn`]/[`GridError::ShardFailed`] on child trouble,
-/// [`GridError::Io`]/[`GridError::ShardParse`] on output trouble.
-pub fn spawn_shards(
-    procs: usize,
-    tmp: &Path,
-    child_args: impl Fn(usize, &Path) -> Vec<std::ffi::OsString>,
-) -> Result<Vec<(String, usize, SamplePoint)>, GridError> {
-    use std::process::{Command, Stdio};
-    let exe = std::env::current_exe()
-        .map_err(|e| GridError::Spawn { shard: 0, err: format!("no current exe: {e}") })?;
-    let mut children = Vec::new();
-    let mut outs = Vec::new();
-    let mut first_err = None;
-    for i in 0..procs {
-        let out = tmp.join(format!("shard-{i}.json"));
-        let mut cmd = Command::new(&exe);
-        cmd.args(child_args(i, &out)).stdout(Stdio::inherit()).stderr(Stdio::inherit());
-        match cmd.spawn() {
-            Ok(child) => {
-                children.push((i, child));
-                outs.push(out);
-            }
-            Err(e) => {
-                first_err = Some(GridError::Spawn { shard: i, err: e.to_string() });
-                break;
-            }
-        }
-    }
-    // Reap everything we started even on error — no orphan simulators.
-    for (i, c) in &mut children {
-        match c.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                first_err.get_or_insert(GridError::ShardFailed {
-                    shard: *i,
-                    status: status.to_string(),
-                });
-            }
-            Err(e) => {
-                first_err.get_or_insert(GridError::ShardFailed {
-                    shard: *i,
-                    status: format!("wait failed: {e}"),
-                });
-            }
-        }
-    }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    let mut all = Vec::new();
-    for p in &outs {
-        all.extend(read_shard_file(p)?);
-    }
-    Ok(all)
 }
 
 /// Verifies merged shard output against a **storeless** in-process
@@ -638,27 +422,6 @@ pub fn verify_merged(
             run.cell.width
         );
     }
-}
-
-/// The contiguous slice of the flattened (cell-major) grid-work list a
-/// shard owns: item `i` is `(cell[i / windows], window i % windows)`.
-/// Reuses the window-range math so chunk sizes differ by at most one.
-pub fn grid_shard_items(
-    n_cells: usize,
-    windows: u64,
-    shard: sfetch_sample::ShardSpec,
-) -> Vec<(usize, Range<u64>)> {
-    let flat = sfetch_sample::window_range(n_cells as u64 * windows, shard);
-    let mut out: Vec<(usize, Range<u64>)> = Vec::new();
-    let mut i = flat.start;
-    while i < flat.end {
-        let cell = (i / windows) as usize;
-        let w_lo = i % windows;
-        let w_hi = (w_lo + (flat.end - i)).min(windows);
-        out.push((cell, w_lo..w_hi));
-        i += w_hi - w_lo;
-    }
-    out
 }
 
 /// Merges shard-file tuples back into per-cell window lists, verifying
@@ -800,7 +563,6 @@ pub fn spread_at_width(runs: &[CellRun], width: usize) -> Option<(f64, f64, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfetch_sample::ShardSpec;
 
     #[test]
     fn cells_are_width_major_and_complete() {
@@ -834,23 +596,6 @@ mod tests {
         assert_eq!(parse_widths("2, 8").expect("list"), vec![2, 8]);
         assert!(parse_engines("warp-drive").is_err(), "unknown engine is a CLI error");
         assert!(parse_widths("0").is_err(), "zero width is a CLI error");
-    }
-
-    #[test]
-    fn shard_items_partition_the_flat_grid() {
-        for (n_cells, windows, procs) in [(12usize, 4u64, 2u64), (3, 7, 4), (2, 2, 5)] {
-            let mut seen = vec![0u32; n_cells * windows as usize];
-            for index in 0..procs {
-                for (cell, range) in
-                    grid_shard_items(n_cells, windows, ShardSpec { index, count: procs })
-                {
-                    for w in range {
-                        seen[cell * windows as usize + w as usize] += 1;
-                    }
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "every (cell, window) exactly once");
-        }
     }
 
     fn point(window: u64) -> SamplePoint {
@@ -896,9 +641,10 @@ mod tests {
         let path = dir.join("shard-0.json");
         let cell = GridCell { engine: EngineKind::Ev8, width: 4 };
         let body = format!("{}\n{}\n", point_line(cell, &point(0)), point_line(cell, &point(1)));
-        write_shard_atomic(&path, &body).expect("atomic write");
+        write_shard_atomic(&path, &sfetch_fleet::seal(&body)).expect("atomic write");
         assert!(!path.with_extension("part").exists(), "temp renamed away");
-        assert_eq!(read_shard_file(&path).expect("read back").len(), 2);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(parse_shard_file(&text).expect("sealed file parses").len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,15 +17,14 @@
 //! | `ablation_sts` | selective trace storage on/off |
 //! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
-//! | `perfstats` | host throughput per engine + the sampling/redecode A/Bs + the store-backed calibration grid → `BENCH_5.json` |
-//! | `shard_runner` | multi-process sampled simulation: windows × engines × widths fanned across OS processes via the checkpoint store, merged bit-identically |
+//! | `perfstats` | host throughput per engine + the sampling A/B + the store-backed calibration grid → `BENCH_10.json` |
 //! | `all` | everything above, in sequence |
 //!
 //! Run with `--inst N` / `--warmup N` to change the measured window
 //! (defaults: 1M measured after 200k warmup per point) and `--jobs N` to
 //! bound worker threads (default: all cores). `--long` appends the
 //! long-horizon phased workload to the ablation set; `--sample` /
-//! `--sample-total` configure the sampled-simulation schedule (see
+//! `--sample-total` configure `perfstats`' sampling A/B schedule (see
 //! [`sfetch_sample::SampleConfig`]). Every grid point owns its
 //! `Processor` and derives only from its workload + configuration, so
 //! parallel runs are bit-identical to serial ones.
@@ -155,9 +154,10 @@ pub struct HarnessOpts {
     /// appends it when set.
     pub long: bool,
     /// Committed instructions of the sampling A/B's long run
-    /// (`--sample-total N`; `perfstats` and `shard_runner` only).
+    /// (`--sample-total N`; `perfstats` only).
     pub sample_total: u64,
-    /// The U/W/D sampling schedule (`--sample U,Wf,Wd,D`).
+    /// The U/W/D schedule of the sampling A/B (`--sample U,Wf,Wd,D`;
+    /// `perfstats` only).
     pub sample: SampleConfig,
     /// Committed instructions of the sampled calibration grid
     /// (`--grid-total N`; the `*_sampled` bins and `perfstats`).
@@ -184,8 +184,8 @@ pub struct HarnessOpts {
     /// sampled grids batch up to `N` same-window cells through one
     /// recorded executor walk ([`sfetch_sample::BatchSampler`]).
     /// Results are bit-identical for any value — batching, like
-    /// `--warm-bank` and `--jobs`, is a host-time knob. Default 1 (the
-    /// per-window path).
+    /// `--warm-bank` and `--jobs`, is a host-time knob. Default 1 (each
+    /// cell its own one-cell batch).
     pub batch: usize,
     /// Byte cap on the checkpoint store (`--store-cap-bytes N`): saves
     /// evict least-recently-accessed unleased entries past the cap,

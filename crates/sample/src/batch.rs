@@ -1,24 +1,26 @@
-//! **Batched multi-window execution**: one functional sweep drives N
-//! detailed windows.
+//! **The sampled-window runner**: one functional sweep drives every
+//! grid cell's detailed window.
 //!
-//! The [`crate::StoredSampler`] already removed the fast-forward cost from
-//! the configurations × windows grid, but every *cell* (engine × width)
-//! still re-walks each window's functional-warming span with its own
-//! [`sfetch_trace::Executor`] — once to feed the cache/predictor warming
-//! loop, and implicitly again as the detailed phase's commit oracle. For
-//! the paper's calibration schedule that is `Wf + Wd + D ≈ 910k`
-//! architectural instructions *per cell per window*, and the grid runs 12
-//! cells over the same 4 windows: ~92 % of grid host time is the same
-//! functional walk repeated with different timing models attached.
+//! [`BatchSampler`] is the only production runner of the store-backed
+//! sampled grid; a single cell is simply a one-cell batch. Each window's
+//! warming-start state is resolved *by content* through the
+//! [`CheckpointStore`] — loaded on a hit, otherwise walked from the
+//! nearest earlier stored window (or the trace start) and saved for
+//! every later experiment — so on a warm store no run ever
+//! fast-forwards.
 //!
-//! [`BatchSampler`] batches the cells that sample the *same* window: the
-//! shared functional reference stream is advanced **once** per window,
+//! Every *cell* (engine × width) of the paper's grid samples the same
+//! windows, and each window's functional-warming span is the same
+//! architectural walk whatever timing model is attached: for the
+//! calibration schedule that is `Wf + Wd + D ≈ 910k` instructions per
+//! window, repeated for each of the grid's 12 cells. The runner
+//! advances the shared functional reference stream **once** per window,
 //! and every in-flight detailed window consumes it in lockstep:
 //!
 //! * **engine warming** feeds each `WARM_BATCH`-sized chunk of committed
 //!   records — converted once, while cache-hot — to every replaying
 //!   cell's [`sfetch_fetch::FetchEngine::warm_block`], in the exact
-//!   chunking the per-cell path uses;
+//!   chunking the live [`crate::Sampler`] uses;
 //! * **memory warming** rides the same sweep, once per distinct pipe
 //!   width (cache warming depends only on the width's line geometry,
 //!   never on the engine), and is cloned into each same-width cell;
@@ -27,22 +29,21 @@
 //!   detailed span (`Vec<DynInst>` — only `Wd + D` + the run-ahead
 //!   margin is ever buffered) — no second executor walks the window.
 //!
-//! Bit-identity with the per-window [`crate::StoredSampler`] path is by
+//! Bit-identity with the storeless live [`crate::Sampler`] is by
 //! construction: the recorded buffer *is* the committed-path sequence a
 //! live executor would produce (the executor is deterministic), the
 //! warming loops consume it in the same order and chunking, and the
-//! processor consumes oracle records identically whether they come from a
-//! live walk or the buffer (asserted by the module tests and the
+//! processor consumes oracle records identically whether they come from
+//! a live walk or the buffer (asserted by the module tests and the
 //! `tests/tests/batch_identity.rs` differential oracle, including a
 //! proptest over random schedules and cell mixes).
 //!
-//! Warm-state banking composes: banked entries written by this module are
-//! byte-identical to [`crate::StoredSampler`]'s (same post-warm
-//! checkpoint, same serialized engine/memory state), so a bank populated
-//! by either runner is a hit for the other. When *every* cell of a window
-//! restores from the bank, the shared sweep shrinks to the detailed span
-//! (`Wd + D` + oracle margin) — the batch and the bank multiply rather
-//! than merely coexist.
+//! **Warm-state banking** ([`BatchSampler::with_warm_bank`]) persists
+//! each cell's post-warming engine and memory state per (window, warm
+//! model): a banked cell restores it instead of replaying the warming
+//! span. When *every* cell of a window restores from the bank, the
+//! shared sweep shrinks to the detailed span (`Wd + D` + oracle margin)
+//! — the batch and the bank multiply rather than merely coexist.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -57,8 +58,7 @@ use sfetch_trace::{DynInst, Executor, OracleSource};
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
 use crate::store::{
-    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler, WarmEntry,
-    WarmTiming,
+    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, WarmEntry,
 };
 
 /// Committed-path records the recorder keeps beyond the detailed span:
@@ -75,6 +75,29 @@ pub struct BatchCell {
     pub kind: EngineKind,
     /// Core configuration (width, ROB, prefetch, front pipeline).
     pub pcfg: ProcessorConfig,
+}
+
+/// Wall-clock breakdown of where a [`BatchSampler`] run's host time
+/// went, per phase. `warm_ns` is the per-window functional-warming (or,
+/// on a banked hit, warm-state-restore) cost — the quantity warm-engine-
+/// state banking exists to shrink; `ff_ns` is the serial snapshot
+/// resolution (fast-forward walking and store IO).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarmTiming {
+    /// Nanoseconds resolving warming-start snapshots (serial).
+    pub ff_ns: u64,
+    /// Nanoseconds recording and warming windows, or restoring banked
+    /// warm state.
+    pub warm_ns: u64,
+    /// Windows covered by the above.
+    pub windows: u64,
+}
+
+impl WarmTiming {
+    /// Mean per-window warming cost in nanoseconds.
+    pub fn warm_ns_per_window(&self) -> u64 {
+        self.warm_ns.checked_div(self.windows).unwrap_or(0)
+    }
 }
 
 /// How one cell of one window obtains its warm state.
@@ -101,26 +124,25 @@ struct WindowPlan<'a> {
     sources: Vec<CellSource>,
 }
 
-/// The batched multi-window runner (see the module docs).
-///
-/// Owns a [`StoredSampler`] for architectural-checkpoint resolution, so
-/// checkpoint-store traffic, reuse, and on-miss population behave
-/// exactly as in the per-window path.
+/// The store-backed sampled-window runner (see the module docs).
 pub struct BatchSampler<'a> {
     image: &'a CodeImage,
     fingerprint: u64,
     seed: u64,
     scfg: SampleConfig,
     store: &'a CheckpointStore,
-    inner: StoredSampler<'a>,
+    /// The live fast-forward walker of checkpoint misses, reused while
+    /// windows arrive in order.
+    walker: Option<Executor<'a>>,
+    stats: StoreStats,
     warm_bank: bool,
     warm_stats: StoreStats,
     timing: WarmTiming,
 }
 
 impl<'a> BatchSampler<'a> {
-    /// Creates a batched runner for the trace `(image, seed)` registered
-    /// in the store under `fingerprint`.
+    /// Creates a runner for the trace `(image, seed)` registered in the
+    /// store under `fingerprint`.
     ///
     /// # Panics
     ///
@@ -139,16 +161,18 @@ impl<'a> BatchSampler<'a> {
             seed,
             scfg,
             store,
-            inner: StoredSampler::new(image, fingerprint, seed, scfg, store),
+            walker: None,
+            stats: StoreStats::default(),
             warm_bank: false,
             warm_stats: StoreStats::default(),
             timing: WarmTiming::default(),
         }
     }
 
-    /// Enables (or disables) warm-engine-state banking, exactly as
-    /// [`StoredSampler::with_warm_bank`] — banked entries are
-    /// interchangeable between the two runners.
+    /// Enables (or disables) warm-engine-state banking: cells whose warm
+    /// state is banked restore it and skip the warming replay; cells
+    /// warmed by replay bank their result for the next run. Output is
+    /// bit-identical either way — banking only moves host time.
     pub fn with_warm_bank(mut self, on: bool) -> Self {
         self.warm_bank = on;
         self
@@ -156,7 +180,7 @@ impl<'a> BatchSampler<'a> {
 
     /// Checkpoint-store traffic accumulated so far.
     pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
+        self.stats
     }
 
     /// Warm-state bank traffic accumulated so far (one probe per cell
@@ -171,11 +195,82 @@ impl<'a> BatchSampler<'a> {
         self.timing
     }
 
+    /// Committed-instruction offset at which window `w`'s functional
+    /// warming starts — the offset its stored checkpoint captures.
+    pub(crate) fn warming_start(&self, w: u64) -> u64 {
+        w * self.scfg.interval + self.scfg.fast_forward()
+    }
+
+    fn key_at(&self, at_inst: u64) -> StoreKey {
+        StoreKey { fingerprint: self.fingerprint, seed: self.seed, at_inst }
+    }
+
+    /// The architectural state at window `w`'s warming start: from the
+    /// store on a hit, otherwise computed (walking from the nearest
+    /// earlier stored window, or the trace start) and saved.
+    fn snapshot(&mut self, w: u64) -> Executor<'a> {
+        let target = self.warming_start(w);
+        match self.store.load(&self.key_at(target)) {
+            Ok(cp) => {
+                self.stats.hits += 1;
+                return Executor::from_checkpoint(self.image, &cp);
+            }
+            Err(StoreMiss::Absent) => self.stats.misses += 1,
+            Err(StoreMiss::Rejected(_)) => self.stats.rejected += 1,
+        }
+        // Recompute. Reuse the live walker when it has not overshot;
+        // otherwise restart from the nearest earlier stored window (a
+        // warm store with holes) or from the trace start.
+        let need_restart = self.walker.as_ref().is_none_or(|e| e.committed() > target);
+        if need_restart {
+            self.walker = Some(self.nearest_start(w, target));
+        }
+        let walker = self.walker.as_mut().expect("walker installed above");
+        for _ in walker.committed()..target {
+            walker.next();
+        }
+        let snap = walker.clone();
+        // Best-effort save: a read-only store directory degrades to
+        // recomputing every run, it does not break correctness.
+        let _ = self.store.save(&self.key_at(target), &snap.checkpoint());
+        snap
+    }
+
+    /// An executor positioned at or before `target`: the closest earlier
+    /// window's stored checkpoint if any verifies, else the trace start.
+    fn nearest_start(&mut self, w: u64, target: u64) -> Executor<'a> {
+        for earlier in (0..w).rev() {
+            let at = self.warming_start(earlier);
+            if at > target {
+                continue;
+            }
+            if let Ok(cp) = self.store.load(&self.key_at(at)) {
+                self.stats.hits += 1;
+                return Executor::from_checkpoint(self.image, &cp);
+            }
+        }
+        Executor::from_image(self.image, self.seed)
+    }
+
+    /// Ensures every window in `0..windows` has a stored checkpoint (one
+    /// architectural walk; pure verification traffic on a warm store),
+    /// returning the number that had to be computed.
+    pub fn populate(&mut self, windows: u64) -> u64 {
+        let before = self.stats;
+        for w in 0..windows {
+            let _ = self.snapshot(w);
+        }
+        self.stats.misses + self.stats.rejected - before.misses - before.rejected
+    }
+
     /// Runs windows `range` for every cell with up to `jobs` in-flight
-    /// window sweeps, returning `[cell][window]`-indexed results in the
-    /// order of `cells` and of the range. Bit-identical to running each
-    /// cell through [`StoredSampler::run_range_stats`], for any `jobs`
-    /// and any banking state.
+    /// window sweeps, returning `[cell][window]`-indexed results — each
+    /// window's sample point and measured-phase [`SimStats`] — in the
+    /// order of `cells` and of the range. Snapshots are resolved
+    /// serially through the store (cheap on a warm store); the window
+    /// sweeps — the expensive part — fan out. Bit-identical to the live
+    /// [`crate::Sampler`] per cell, for any `jobs`, any cell mix and any
+    /// banking state.
     ///
     /// # Panics
     ///
@@ -255,11 +350,7 @@ impl<'a> BatchSampler<'a> {
     fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
         let mut sources = Vec::with_capacity(models.len());
         if self.warm_bank {
-            let key = StoreKey {
-                fingerprint: self.fingerprint,
-                seed: self.seed,
-                at_inst: self.inner.warming_start(w),
-            };
+            let key = self.key_at(self.warming_start(w));
             for &model in models {
                 match self.store.load_warm(&key, model) {
                     Ok(entry) => {
@@ -294,7 +385,7 @@ impl<'a> BatchSampler<'a> {
             let rec = Executor::from_checkpoint(self.image, &first.ckpt);
             WindowPlan { w, rec, warm_span: 0, sources }
         } else {
-            let rec = self.inner.snapshot(w);
+            let rec = self.snapshot(w);
             WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
         }
     }
@@ -337,7 +428,7 @@ fn run_batch_window<'a>(
     // Functional memory warming rides the same sweep, once per distinct
     // width among the replay-warmed cells (cache warming depends only
     // on the width's line geometry, never on the engine), each with its
-    // own line-dedup cursor. The per-cell loop in `warm_window`
+    // own line-dedup cursor. The live sampler's per-cell warming loop
     // interleaves engine and memory updates, but neither ever reads the
     // other, so this lands on bit-identical cache state.
     let mut mems: Vec<(usize, MemoryHierarchy, u64, u64)> = Vec::new();
@@ -384,8 +475,8 @@ fn run_batch_window<'a>(
         .iter()
         .any(|s| matches!(s, CellSource::Replay { bank_to: Some(_) }));
     // The post-warm architectural checkpoint every banked entry of this
-    // window shares — captured mid-sweep, exactly where the per-window
-    // path's warming executor stops.
+    // window shares — captured mid-sweep, exactly where the live
+    // sampler's warming executor stops.
     let ckpt_post_warm = needs_bank.then(|| rec.checkpoint());
 
     // Only the detailed span + oracle run-ahead margin is recorded as
@@ -405,9 +496,9 @@ fn run_batch_window<'a>(
         let t1 = Instant::now();
         let (mut engine, mem) = match src {
             CellSource::Banked(entry) => {
-                // Same reconstruction discipline as the per-window
-                // path: the entry passed digest checks, so a failure
-                // here is a format bug — fail loudly.
+                // The entry passed digest checks, so a reconstruction
+                // failure here is a format bug, not data corruption —
+                // fail loudly rather than quietly recomputing.
                 let mut engine =
                     cell.kind.build_for(cell.pcfg.width, start, &cell.pcfg.prefetch, &cell.pcfg.front);
                 engine
@@ -467,6 +558,7 @@ fn run_batch_window<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sampler;
     use sfetch_cfg::gen::{GenParams, ProgramGenerator};
     use sfetch_cfg::layout;
 
@@ -503,20 +595,19 @@ mod tests {
         ]
     }
 
-    /// Per-window oracle: the same cells through `StoredSampler`.
+    /// Storeless oracle: each cell through the live [`Sampler`], which
+    /// walks the trace itself.
     fn serial_oracle(
         img: &CodeImage,
-        store: &CheckpointStore,
         cells: &[BatchCell],
         range: std::ops::Range<u64>,
-        warm_bank: bool,
     ) -> Vec<Vec<(SamplePoint, SimStats)>> {
         cells
             .iter()
             .map(|c| {
-                StoredSampler::new(img, 0xba7c, 7, quick_cfg(), store)
-                    .with_warm_bank(warm_bank)
-                    .run_range_stats(c.kind, c.pcfg, range.clone(), 1)
+                let mut live = Sampler::new(img, c.kind, c.pcfg, quick_cfg(), 7);
+                live.skip(range.start);
+                range.clone().map(|_| live.next_window_full()).collect()
             })
             .collect()
     }
@@ -528,7 +619,7 @@ mod tests {
         let cells = cells();
         let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store);
         let got = b.run_range(&cells, 0..3, 2);
-        let want = serial_oracle(&img, &store, &cells, 0..3, false);
+        let want = serial_oracle(&img, &cells, 0..3);
         assert_eq!(got, want, "batched output must be bit-identical per cell per window");
         let _ = std::fs::remove_dir_all(store.root());
     }
@@ -538,7 +629,7 @@ mod tests {
         let img = image();
         let store = tmp_store("bank");
         let cells = cells();
-        let baseline = serial_oracle(&img, &store, &cells, 0..2, false);
+        let baseline = serial_oracle(&img, &cells, 0..2);
 
         // First banked run populates: every probe misses.
         let mut b1 = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
@@ -557,32 +648,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    #[test]
-    fn batch_banked_entries_interoperate_with_stored_sampler() {
-        let img = image();
-        let store = tmp_store("interop");
-        let cells = cells();
-        // Batch populates the bank …
-        let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
-        let batched = b.run_range(&cells, 0..2, 1);
-        // … and the per-window runner hits it, bit-identically.
-        let mut s =
-            StoredSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
-        let serial = s.run_range_stats(cells[0].kind, cells[0].pcfg, 0..2, 1);
-        assert_eq!(batched[0], serial);
-        assert_eq!(s.warm_bank_stats().hits, 2, "per-window runner must hit batch-banked entries");
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
+    /// A one-cell batch is how a lone cell runs: bit-identical to the
+    /// live sampler with the bank off, on (banking pass), and on again
+    /// (every window restored from the bank).
     #[test]
     fn single_cell_batch_degenerates_cleanly() {
         let img = image();
         let store = tmp_store("single");
         let cells = vec![BatchCell { kind: EngineKind::TraceCache, pcfg: ProcessorConfig::table2(4) }];
+        let want = serial_oracle(&img, &cells, 1..3);
         let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store);
-        let got = b.run_range(&cells, 1..3, 1);
-        let want = serial_oracle(&img, &store, &cells, 1..3, false);
-        assert_eq!(got, want);
+        assert_eq!(b.run_range(&cells, 1..3, 1), want);
+        let mut banking =
+            BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
+        assert_eq!(banking.run_range(&cells, 1..3, 1), want);
+        assert_eq!(banking.warm_bank_stats().misses, 2);
+        let mut banked =
+            BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
+        assert_eq!(banked.run_range(&cells, 1..3, 2), want);
+        assert_eq!(banked.warm_bank_stats().hits, 2);
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

@@ -35,7 +35,8 @@
 //! what lets a long run be split into shards: a shard resumes the
 //! executor from an [`sfetch_trace::ArchCheckpoint`] at its first window
 //! and produces *bit-identical* [`SamplePoint`]s to the single-process
-//! run (asserted in CI by the `shard_runner --verify` smoke leg).
+//! run (asserted in CI by the multi-process `figure8_sampled --verify`
+//! smoke leg).
 //!
 //! Window independence also makes the fast-forward pass *reusable*: the
 //! state at each window's warming start depends only on the trace, never
@@ -43,7 +44,18 @@
 //! states in a content-addressed, versioned [`CheckpointStore`] so that
 //! one experiment's fast-forward work is every later experiment's too —
 //! a warm store turns the whole configurations × windows grid into jobs
-//! that start directly at functional warming ([`StoredSampler`]).
+//! that start directly at functional warming.
+//!
+//! Two runners share the window simulation:
+//!
+//! * [`BatchSampler`] — the production runner: it resolves windows
+//!   through the store and drives every cell of a batch from one shared
+//!   functional sweep per window (a single cell is a one-cell batch),
+//!   optionally banking warmed engine state;
+//! * [`Sampler`] — the storeless live runner, which walks the trace
+//!   itself. It is the reference every `--verify` leg and identity test
+//!   compares against, so the oracle never shares the store or the
+//!   replay buffer with the path under test.
 //!
 //! With sampling disabled, [`run_full_detailed`] is today's sim loop —
 //! bit-identical to [`sfetch_core::simulate`], locksteped in tests.
@@ -79,7 +91,7 @@ pub mod shard;
 pub mod stats;
 pub mod store;
 
-pub use batch::{BatchCell, BatchSampler};
+pub use batch::{BatchCell, BatchSampler, WarmTiming};
 pub use config::{Confidence, SampleConfig};
 pub use runner::{
     run_full_detailed, run_sampled, run_sampled_jobs, SamplePoint, SampledRun, Sampler,
@@ -87,6 +99,6 @@ pub use runner::{
 pub use shard::{merge_points, window_range, ShardSpec};
 pub use stats::{estimate, Estimate};
 pub use store::{
-    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler,
-    WarmEntry, WarmTiming, STORE_VERSION, WARM_VERSION,
+    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, WarmEntry,
+    STORE_VERSION, WARM_VERSION,
 };

@@ -261,9 +261,7 @@ pub(crate) fn committed_record(d: &DynInst) -> CommittedInst {
 /// after functional warming (= the snapshot advanced `Wf` instructions),
 /// which the serial sampler adopts as its master to avoid re-walking the
 /// horizon; the parallel path skips the clone (it would be discarded).
-/// Crate-visible so the checkpoint store's [`crate::StoredSampler`] runs
-/// byte-for-byte the same window simulation as the live [`Sampler`].
-pub(crate) fn window_point<'a>(
+fn window_point<'a>(
     image: &'a CodeImage,
     kind: EngineKind,
     pcfg: ProcessorConfig,
@@ -296,19 +294,19 @@ pub(crate) fn point_from_stats(window: u64, scfg: &SampleConfig, stats: &SimStat
 /// warmed fetch engine, and the warmed (pre-pipeline) memory hierarchy.
 /// Everything [`measure_window`] needs — and exactly the state the
 /// checkpoint store's warm bank serializes.
-pub(crate) struct WarmedWindow<'a> {
+struct WarmedWindow<'a> {
     /// Executor positioned at the window's detailed-warmup start.
-    pub exec: Executor<'a>,
+    exec: Executor<'a>,
     /// Fetch engine with warmed commit-side structures.
-    pub engine: Box<dyn FetchEngine>,
+    engine: Box<dyn FetchEngine>,
     /// Memory hierarchy with warmed cache tag/LRU state.
-    pub mem: MemoryHierarchy,
+    mem: MemoryHierarchy,
 }
 
 /// Functional warming over `Wf` architectural instructions into fresh
 /// caches/predictors (the memory hierarchy only over the last `warm_mem`
 /// — cache state converges far faster than predictor tables).
-pub(crate) fn warm_window<'a>(
+fn warm_window<'a>(
     kind: EngineKind,
     pcfg: ProcessorConfig,
     scfg: &SampleConfig,
@@ -348,10 +346,10 @@ pub(crate) fn warm_window<'a>(
 /// cursor to the window start (the watchdog-style redirect: no branch
 /// kind, clean checkpoint), then run `Wd` discarded + `D` measured
 /// instructions. With `capture_post`, also returns the pre-detail
-/// executor state. Warm state restored from the bank enters here on the
-/// exact same footing as state warmed live — the redirect rebuilds every
-/// fetch-side cursor either way.
-pub(crate) fn measure_window<'a>(
+/// executor state. [`crate::BatchSampler`]'s detailed phase performs
+/// the same redirect, so warm state replayed or restored from the bank
+/// enters detail on the exact footing of state warmed live here.
+fn measure_window<'a>(
     image: &'a CodeImage,
     pcfg: ProcessorConfig,
     scfg: &SampleConfig,

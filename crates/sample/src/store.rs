@@ -31,30 +31,27 @@
 //!   ([`ArchCheckpoint::digest`]); a corrupt, version-mismatched, or
 //!   mis-keyed entry is *rejected and recomputed*, never trusted
 //!   ([`StoreMiss::Rejected`]).
-//! * [`StoredSampler`] — the store-aware window runner: it resolves
-//!   each window's warming-start state through the store (loading on
-//!   hit, walking the trace and saving on miss) and then runs the same
-//!   window simulation as [`crate::Sampler`], producing bit-identical
-//!   [`SamplePoint`]s. On a warm store no run ever fast-forwards:
-//!   windows — across any engine, width, process, or machine — start
-//!   directly at functional warming.
+//! * the warm bank ([`CheckpointStore::save_warm`] /
+//!   [`CheckpointStore::load_warm`]) — post-warming engine and memory
+//!   state per (checkpoint key, [`warm_model_digest`]), under the same
+//!   verify-or-recompute policy.
+//!
+//! [`crate::BatchSampler`] resolves each window's warming-start state
+//! through the store (loading on hit, walking the trace and saving on
+//! miss). On a warm store no run ever fast-forwards: windows — across
+//! any engine, width, process, or machine — start directly at
+//! functional warming.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
-use sfetch_cfg::CodeImage;
-use sfetch_core::{ProcessorConfig, SimStats};
+use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_isa::wire::{WireReader, WireWriter};
-use sfetch_mem::{MemoryConfig, MemoryHierarchy};
-use sfetch_trace::{ArchCheckpoint, Executor};
+use sfetch_trace::ArchCheckpoint;
 
 use crate::config::SampleConfig;
-use crate::runner::{
-    measure_window, point_from_stats, warm_window, window_point, SamplePoint, WarmedWindow,
-};
 
 /// Magic word of a store entry ("SFCKSTOR").
 const STORE_MAGIC: u64 = 0x5346_434b_5354_4f52;
@@ -98,7 +95,7 @@ impl std::fmt::Display for StoreMiss {
     }
 }
 
-/// Hit/miss accounting of a [`StoredSampler`] (and of direct store
+/// Hit/miss accounting of a [`crate::BatchSampler`] (and of direct store
 /// users), reported by the grid binaries so cold vs warm runs are
 /// visible in the output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -698,367 +695,25 @@ pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &Sample
     sfetch_trace::digest_bytes(desc.as_bytes())
 }
 
-/// The store-aware sampled-window runner.
-///
-/// Where [`crate::Sampler`] owns a live master executor that must walk
-/// the whole trace, a `StoredSampler` resolves each window's
-/// warming-start state *by content*: load from the [`CheckpointStore`]
-/// if present and valid, otherwise walk the trace from the nearest
-/// earlier stored state (or the trace start) and save the result for
-/// every later experiment. The window simulation itself is byte-for-
-/// byte the one [`crate::Sampler`] runs, so the produced
-/// [`SamplePoint`]s are **bit-identical** to a storeless run — asserted
-/// by `tests/tests/checkpoint_store.rs` and by the grid binaries'
-/// `--verify` legs.
-pub struct StoredSampler<'a> {
-    image: &'a CodeImage,
-    fingerprint: u64,
-    seed: u64,
-    scfg: SampleConfig,
-    store: &'a CheckpointStore,
-    walker: Option<Executor<'a>>,
-    stats: StoreStats,
-    warm_bank: bool,
-    warm_stats: StoreStats,
-    timing: WarmTiming,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatchCell, BatchSampler, SamplePoint};
+    use sfetch_cfg::gen::{GenParams, ProgramGenerator};
+    use sfetch_cfg::layout;
+    use sfetch_cfg::CodeImage;
+    use sfetch_trace::Executor;
 
-/// Wall-clock breakdown of where a [`StoredSampler`] run's host time
-/// went, per phase. `warm_ns` is the per-window functional-warming (or,
-/// on a banked hit, warm-state-restore) cost — the quantity warm-engine-
-/// state banking exists to shrink; `ff_ns` is the serial snapshot
-/// resolution (fast-forward walking and store IO).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmTiming {
-    /// Nanoseconds resolving warming-start snapshots (serial).
-    pub ff_ns: u64,
-    /// Nanoseconds warming windows live, or restoring banked warm state.
-    pub warm_ns: u64,
-    /// Windows covered by the above.
-    pub windows: u64,
-}
-
-impl WarmTiming {
-    /// Mean per-window warming cost in nanoseconds.
-    pub fn warm_ns_per_window(&self) -> u64 {
-        self.warm_ns.checked_div(self.windows).unwrap_or(0)
-    }
-}
-
-/// How one window's warm state will be obtained.
-// One value per window in flight; the size gap vs the `Arc`'d banked
-// variant is irrelevant at that count.
-#[allow(clippy::large_enum_variant)]
-enum WarmSource<'a> {
-    /// Warm live from this snapshot; bank the result under the key when
-    /// one is present.
-    Snapshot(Executor<'a>, Option<StoreKey>),
-    /// Restore from this verified banked entry.
-    Banked(Arc<WarmEntry>),
-}
-
-impl<'a> StoredSampler<'a> {
-    /// Creates a runner for the trace `(image, seed)` registered in the
-    /// store under `fingerprint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scfg` fails [`SampleConfig::validate`].
-    pub fn new(
-        image: &'a CodeImage,
-        fingerprint: u64,
-        seed: u64,
-        scfg: SampleConfig,
-        store: &'a CheckpointStore,
-    ) -> Self {
-        scfg.validate();
-        StoredSampler {
-            image,
-            fingerprint,
-            seed,
-            scfg,
-            store,
-            walker: None,
-            stats: StoreStats::default(),
-            warm_bank: false,
-            warm_stats: StoreStats::default(),
-            timing: WarmTiming::default(),
-        }
-    }
-
-    /// Enables (or disables) warm-engine-state banking: windows whose
-    /// warm state is banked restore it and skip the warming walk;
-    /// windows warmed live bank their result for the next run. Output is
-    /// bit-identical either way — banking only moves host time.
-    pub fn with_warm_bank(mut self, on: bool) -> Self {
-        self.warm_bank = on;
-        self
-    }
-
-    /// Store traffic accumulated so far.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    /// Warm-state bank traffic accumulated so far (all zero unless
-    /// [`StoredSampler::with_warm_bank`] enabled banking).
-    pub fn warm_bank_stats(&self) -> StoreStats {
-        self.warm_stats
-    }
-
-    /// Host-time breakdown accumulated so far.
-    pub fn timing(&self) -> WarmTiming {
-        self.timing
-    }
-
-    /// Committed-instruction offset at which window `w`'s functional
-    /// warming starts — the offset its stored checkpoint captures.
-    pub fn warming_start(&self, w: u64) -> u64 {
-        w * self.scfg.interval + self.scfg.fast_forward()
-    }
-
-    fn key_at(&self, at_inst: u64) -> StoreKey {
-        StoreKey { fingerprint: self.fingerprint, seed: self.seed, at_inst }
-    }
-
-    /// The architectural state at window `w`'s warming start: from the
-    /// store on a hit, otherwise computed (walking from the nearest
-    /// earlier stored window, or the trace start) and saved.
-    pub fn snapshot(&mut self, w: u64) -> Executor<'a> {
-        let target = self.warming_start(w);
-        match self.store.load(&self.key_at(target)) {
-            Ok(cp) => {
-                self.stats.hits += 1;
-                return Executor::from_checkpoint(self.image, &cp);
-            }
-            Err(StoreMiss::Absent) => self.stats.misses += 1,
-            Err(StoreMiss::Rejected(_)) => self.stats.rejected += 1,
-        }
-        // Recompute. Reuse the live walker when it has not overshot;
-        // otherwise restart from the nearest earlier stored window (a
-        // warm store with holes) or from the trace start.
-        let need_restart =
-            self.walker.as_ref().is_none_or(|e| e.committed() > target);
-        if need_restart {
-            self.walker = Some(self.nearest_start(w, target));
-        }
-        let walker = self.walker.as_mut().expect("walker installed above");
-        for _ in walker.committed()..target {
-            walker.next();
-        }
-        let snap = walker.clone();
-        // Best-effort save: a read-only store directory degrades to
-        // recomputing every run, it does not break correctness.
-        let _ = self.store.save(&self.key_at(target), &snap.checkpoint());
-        snap
-    }
-
-    /// An executor positioned at or before `target`: the closest earlier
-    /// window's stored checkpoint if any verifies, else the trace start.
-    fn nearest_start(&mut self, w: u64, target: u64) -> Executor<'a> {
-        for earlier in (0..w).rev() {
-            let at = self.warming_start(earlier);
-            if at > target {
-                continue;
-            }
-            if let Ok(cp) = self.store.load(&self.key_at(at)) {
-                self.stats.hits += 1;
-                return Executor::from_checkpoint(self.image, &cp);
-            }
-        }
-        Executor::from_image(self.image, self.seed)
-    }
-
-    /// Runs window `w` for one engine/configuration, returning the
-    /// sample point and the measured phase's full [`SimStats`].
-    pub fn run_window(
-        &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        w: u64,
-    ) -> (SamplePoint, SimStats) {
-        let snap = self.snapshot(w);
-        let (point, stats, _) =
-            window_point(self.image, kind, pcfg, &self.scfg, w, snap, false);
-        (point, stats)
-    }
-
-    /// Runs windows `range` for one engine/configuration with up to
-    /// `jobs` worker threads. Snapshots are resolved serially through
-    /// the store (cheap on a warm store); the window simulations — the
-    /// expensive part — fan out. Bit-identical to a serial run for any
-    /// `jobs`, like every parallel path in this repository — and
-    /// bit-identical with warm-state banking on or off.
-    pub fn run_range(
-        &mut self,
+    /// One cell's windows `range` through a one-cell batch.
+    fn run(
+        s: &mut BatchSampler<'_>,
         kind: EngineKind,
         pcfg: ProcessorConfig,
         range: std::ops::Range<u64>,
         jobs: usize,
     ) -> Vec<SamplePoint> {
-        self.run_range_core(kind, pcfg, range, jobs).into_iter().map(|(p, _)| p).collect()
+        s.run_range_points(&[BatchCell { kind, pcfg }], range, jobs).remove(0)
     }
-
-    /// [`StoredSampler::run_range`], but returning each window's full
-    /// measured-phase [`SimStats`] alongside its [`SamplePoint`] — the
-    /// sampled runners' time-series sinks consume the per-window stats
-    /// while the grid aggregation keeps using the points.
-    pub fn run_range_stats(
-        &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        range: std::ops::Range<u64>,
-        jobs: usize,
-    ) -> Vec<(SamplePoint, SimStats)> {
-        self.run_range_core(kind, pcfg, range, jobs)
-    }
-
-    /// Resolves one window's warm source, serially: a verified banked
-    /// warm-state entry when banking is on and one exists, else the
-    /// architectural snapshot at the warming start (tagged with the key
-    /// to bank the warming result under, when banking is on).
-    fn resolve_warm_source(&mut self, w: u64, model: u64) -> WarmSource<'a> {
-        if self.warm_bank {
-            let key = self.key_at(self.warming_start(w));
-            match self.store.load_warm(&key, model) {
-                Ok(entry) => {
-                    self.warm_stats.hits += 1;
-                    return WarmSource::Banked(entry);
-                }
-                Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
-                Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
-            }
-            WarmSource::Snapshot(self.snapshot(w), Some(key))
-        } else {
-            WarmSource::Snapshot(self.snapshot(w), None)
-        }
-    }
-
-    /// The chunked serial-resolve / parallel-simulate loop shared by the
-    /// range runners.
-    fn run_range_core(
-        &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        range: std::ops::Range<u64>,
-        jobs: usize,
-    ) -> Vec<(SamplePoint, SimStats)> {
-        let jobs = jobs.max(1);
-        let (image, scfg, store) = (self.image, self.scfg, self.store);
-        let model = warm_model_digest(kind, &pcfg, &scfg);
-        let mut out = Vec::with_capacity((range.end - range.start) as usize);
-        let mut w = range.start;
-        while w < range.end {
-            let chunk = (range.end - w).min(jobs as u64);
-            let t0 = Instant::now();
-            let sources: Vec<(u64, WarmSource<'a>)> =
-                (w..w + chunk).map(|i| (i, self.resolve_warm_source(i, model))).collect();
-            self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
-            if jobs == 1 {
-                for (i, src) in sources {
-                    let (p, s, ns) = run_one(image, kind, pcfg, &scfg, store, model, i, src);
-                    self.timing.warm_ns += ns;
-                    out.push((p, s));
-                }
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = sources
-                        .into_iter()
-                        .map(|(i, src)| {
-                            s.spawn(move || {
-                                run_one(image, kind, pcfg, &scfg, store, model, i, src)
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        let (p, st, ns) = h.join().expect("window worker");
-                        self.timing.warm_ns += ns;
-                        out.push((p, st));
-                    }
-                });
-            }
-            self.timing.windows += chunk;
-            w += chunk;
-        }
-        out
-    }
-
-    /// Ensures every window in `0..windows` has a stored checkpoint
-    /// (the shard parent's one-pass populate), returning the number
-    /// that had to be computed.
-    pub fn populate(&mut self, windows: u64) -> u64 {
-        let before = self.stats;
-        for w in 0..windows {
-            let _ = self.snapshot(w);
-        }
-        self.stats.misses + self.stats.rejected - before.misses - before.rejected
-    }
-}
-
-/// One window end-to-end from its resolved warm source: restore or warm
-/// (banking a live-warmed result when asked to), then measure. Returns
-/// the point, the measured stats, and the nanoseconds the warm phase
-/// took. Runs on worker threads; every output is deterministic except
-/// the timing.
-#[allow(clippy::too_many_arguments)]
-fn run_one<'a>(
-    image: &'a CodeImage,
-    kind: EngineKind,
-    pcfg: ProcessorConfig,
-    scfg: &SampleConfig,
-    store: &CheckpointStore,
-    model: u64,
-    w: u64,
-    src: WarmSource<'a>,
-) -> (SamplePoint, SimStats, u64) {
-    let t0 = Instant::now();
-    let ww = match src {
-        WarmSource::Banked(entry) => {
-            // The entry passed magic/version/key/model/digest checks, so
-            // a reconstruction failure here is a format bug, not data
-            // corruption — surface it loudly rather than quietly
-            // recomputing what a test should have caught.
-            let exec = Executor::from_checkpoint(image, &entry.ckpt);
-            let mut engine = kind.build_for(pcfg.width, exec.pc(), &pcfg.prefetch, &pcfg.front);
-            engine
-                .load_warm_state(&entry.engine)
-                .expect("digest-verified engine warm state must load");
-            let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
-            let mut r = WireReader::new(&entry.mem);
-            mem.load_warm_wire(&mut r)
-                .and_then(|()| r.finish())
-                .expect("digest-verified memory warm state must load");
-            WarmedWindow { exec, engine, mem }
-        }
-        WarmSource::Snapshot(exec, bank_to) => {
-            let ww = warm_window(kind, pcfg, scfg, exec);
-            if let Some(key) = bank_to {
-                if let Some(engine_bytes) = ww.engine.warm_state() {
-                    let mut mw = WireWriter::new();
-                    ww.mem.save_warm_wire(&mut mw);
-                    let entry = WarmEntry {
-                        ckpt: ww.exec.checkpoint(),
-                        engine: engine_bytes,
-                        mem: mw.into_bytes(),
-                    };
-                    // Best-effort, like checkpoint saves: a read-only
-                    // store degrades to warming every run.
-                    let _ = store.save_warm(&key, model, &entry);
-                }
-            }
-            ww
-        }
-    };
-    let warm_ns = t0.elapsed().as_nanos() as u64;
-    let (stats, _) = measure_window(image, pcfg, scfg, ww, false);
-    (point_from_stats(w, scfg, &stats), stats, warm_ns)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sfetch_cfg::gen::{GenParams, ProgramGenerator};
-    use sfetch_cfg::layout;
 
     fn image() -> CodeImage {
         let cfg = ProgramGenerator::new(GenParams::small(), 17).generate();
@@ -1152,14 +807,14 @@ mod tests {
         let mut plain = crate::Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 7);
         let want = plain.run(4);
 
-        let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store);
-        let got = cold.run_range(EngineKind::Stream, pcfg, 0..4, 1);
+        let mut cold = BatchSampler::new(&img, fp, 7, scfg, &store);
+        let got = run(&mut cold, EngineKind::Stream, pcfg, 0..4, 1);
         assert_eq!(want, got, "store-backed windows must be bit-identical");
         assert_eq!(cold.stats().misses, 4, "cold store computes every window");
         assert_eq!(store.entries(), 4);
 
-        let mut warm = StoredSampler::new(&img, fp, 7, scfg, &store);
-        let again = warm.run_range(EngineKind::Stream, pcfg, 0..4, 1);
+        let mut warm = BatchSampler::new(&img, fp, 7, scfg, &store);
+        let again = run(&mut warm, EngineKind::Stream, pcfg, 0..4, 1);
         assert_eq!(want, again, "warm store replays bit-identically");
         assert_eq!(warm.stats().hits, 4, "warm store loads every window");
         assert_eq!(warm.stats().misses, 0);
@@ -1181,8 +836,8 @@ mod tests {
 
         // Populate with one cell: Stream engine, 4-wide, legacy front,
         // no prefetch.
-        let mut first = StoredSampler::new(&img, fp, 7, scfg, &store);
-        let _ = first.run_range(EngineKind::Stream, ProcessorConfig::table2(4), 0..4, 1);
+        let mut first = BatchSampler::new(&img, fp, 7, scfg, &store);
+        let _ = run(&mut first, EngineKind::Stream, ProcessorConfig::table2(4), 0..4, 1);
         assert_eq!(first.stats().misses, 4, "first cell computes every checkpoint");
 
         // A maximally different cell: EV8 engine, 8-wide, its own front
@@ -1192,8 +847,8 @@ mod tests {
         pcfg.prefetch =
             sfetch_core::PrefetchConfig::enabled(EngineKind::Ev8.natural_prefetch());
 
-        let mut warm = StoredSampler::new(&img, fp, 7, scfg, &store);
-        let got = warm.run_range(EngineKind::Ev8, pcfg, 0..4, 1);
+        let mut warm = BatchSampler::new(&img, fp, 7, scfg, &store);
+        let got = run(&mut warm, EngineKind::Ev8, pcfg, 0..4, 1);
         assert_eq!(warm.stats().misses, 0, "cross-config cell must recompute nothing");
         assert_eq!(warm.stats().hits, 4, "cross-config cell resumes fully warm");
 
@@ -1221,14 +876,14 @@ mod tests {
             let mut live = crate::Sampler::new(&img, kind, pcfg, scfg, 7);
             let want = live.run(3);
 
-            let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-            let got = cold.run_range(kind, pcfg, 0..3, 1);
+            let mut cold = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+            let got = run(&mut cold, kind, pcfg, 0..3, 1);
             assert_eq!(want, got, "{kind:?}: banking pass must match live");
             assert_eq!(cold.warm_bank_stats().misses, 3, "{kind:?}: cold bank misses all");
             assert_eq!(store.warm_entries(), 3, "{kind:?}: warming results banked");
 
-            let mut resident = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-            let again = resident.run_range(kind, pcfg, 0..3, 1);
+            let mut resident = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+            let again = run(&mut resident, kind, pcfg, 0..3, 1);
             assert_eq!(want, again, "{kind:?}: banked rerun must match live");
             assert_eq!(resident.warm_bank_stats().hits, 3, "{kind:?}: rerun fully banked");
             assert_eq!(resident.warm_bank_stats().misses, 0);
@@ -1250,11 +905,11 @@ mod tests {
         let store = tmp_store("bank-par");
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
 
-        let mut serial = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let want = serial.run_range(EngineKind::Stream, pcfg, 0..4, 1);
+        let mut serial = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let want = run(&mut serial, EngineKind::Stream, pcfg, 0..4, 1);
         for jobs in [2, 4] {
-            let mut par = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-            let got = par.run_range(EngineKind::Stream, pcfg, 0..4, jobs);
+            let mut par = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+            let got = run(&mut par, EngineKind::Stream, pcfg, 0..4, jobs);
             assert_eq!(want, got, "jobs = {jobs}");
             assert_eq!(par.warm_bank_stats().hits, 4, "jobs = {jobs}");
         }
@@ -1270,13 +925,13 @@ mod tests {
         let store = tmp_store("bank-model");
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
 
-        let mut a = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let _ = a.run_range(EngineKind::Stream, ProcessorConfig::table2(4), 0..2, 1);
+        let mut a = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let _ = run(&mut a, EngineKind::Stream, ProcessorConfig::table2(4), 0..2, 1);
         assert_eq!(store.warm_entries(), 2);
 
         // Different engine: banked entries must miss, not collide.
-        let mut b = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let _ = b.run_range(EngineKind::Ev8, ProcessorConfig::table2(4), 0..2, 1);
+        let mut b = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let _ = run(&mut b, EngineKind::Ev8, ProcessorConfig::table2(4), 0..2, 1);
         assert_eq!(b.warm_bank_stats().hits, 0, "cross-engine entries must not be shared");
         assert_eq!(b.warm_bank_stats().misses, 2);
         assert_eq!(store.warm_entries(), 4);
@@ -1299,8 +954,8 @@ mod tests {
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
         let model = warm_model_digest(EngineKind::Ftb, &pcfg, &scfg);
 
-        let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let want = cold.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
+        let mut cold = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let want = run(&mut cold, EngineKind::Ftb, pcfg, 0..2, 1);
 
         // Corrupt window 0's entry payload; bump window 1's version.
         let key0 = StoreKey { fingerprint: fp, seed: 7, at_inst: cold.warming_start(0) };
@@ -1322,8 +977,8 @@ mod tests {
         assert!(matches!(seen.load_warm(&key0, model), Err(StoreMiss::Rejected(why)) if why.contains("digest")));
         assert!(matches!(seen.load_warm(&key1, model), Err(StoreMiss::Rejected(why)) if why.contains("version")));
 
-        let mut again = StoredSampler::new(&img, fp, 7, scfg, &seen).with_warm_bank(true);
-        let got = again.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
+        let mut again = BatchSampler::new(&img, fp, 7, scfg, &seen).with_warm_bank(true);
+        let got = run(&mut again, EngineKind::Ftb, pcfg, 0..2, 1);
         assert_eq!(want, got, "rejected entries must recompute bit-identically");
         assert_eq!(again.warm_bank_stats().rejected, 2);
         assert_eq!(again.warm_bank_stats().hits, 0);
@@ -1332,8 +987,8 @@ mod tests {
         let repaired = CheckpointStore::open(store.root()).expect("reopen store");
         assert!(repaired.load_warm(&key0, model).is_ok());
         assert!(repaired.load_warm(&key1, model).is_ok());
-        let mut third = StoredSampler::new(&img, fp, 7, scfg, &repaired).with_warm_bank(true);
-        let _ = third.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
+        let mut third = BatchSampler::new(&img, fp, 7, scfg, &repaired).with_warm_bank(true);
+        let _ = run(&mut third, EngineKind::Ftb, pcfg, 0..2, 1);
         assert_eq!(third.warm_bank_stats().hits, 2, "repaired bank serves the next run");
         let _ = std::fs::remove_dir_all(store.root());
     }
@@ -1350,8 +1005,8 @@ mod tests {
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
         let model = warm_model_digest(EngineKind::Stream, &pcfg, &scfg);
 
-        let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let want = cold.run_range(EngineKind::Stream, pcfg, 0..2, 1);
+        let mut cold = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let want = run(&mut cold, EngineKind::Stream, pcfg, 0..2, 1);
         assert!(store.warm_cache_resident_bytes() > 0, "banking must populate the cache");
 
         // Delete the files: the banking handle still serves resident
@@ -1362,15 +1017,15 @@ mod tests {
         assert!(store.load_warm(&key0, model).is_ok(), "resident copy survives the file");
         let fresh = CheckpointStore::open(store.root()).expect("reopen store");
         assert!(matches!(fresh.load_warm(&key0, model), Err(StoreMiss::Absent)));
-        let mut warm = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let got = warm.run_range(EngineKind::Stream, pcfg, 0..2, 1);
+        let mut warm = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let got = run(&mut warm, EngineKind::Stream, pcfg, 0..2, 1);
         assert_eq!(want, got, "cache-served rerun must stay bit-identical");
         assert_eq!(warm.warm_bank_stats().hits, 2);
 
         // A one-byte budget caches nothing; zero disables outright.
         let tiny = CheckpointStore::open(store.root()).expect("reopen").with_warm_cache_bytes(1);
-        let mut t = StoredSampler::new(&img, fp, 7, scfg, &tiny).with_warm_bank(true);
-        let _ = t.run_range(EngineKind::Stream, pcfg, 1..2, 1);
+        let mut t = BatchSampler::new(&img, fp, 7, scfg, &tiny).with_warm_bank(true);
+        let _ = run(&mut t, EngineKind::Stream, pcfg, 1..2, 1);
         assert_eq!(tiny.warm_cache_resident_bytes(), 0, "over-budget entries are not admitted");
 
         // LRU: with room for roughly one entry, the second admission
@@ -1383,8 +1038,8 @@ mod tests {
         let lru = CheckpointStore::open(store.root())
             .expect("reopen")
             .with_warm_cache_bytes(fresh.warm_cache_resident_bytes() + 8);
-        let mut l = StoredSampler::new(&img, fp, 7, scfg, &lru).with_warm_bank(true);
-        let _ = l.run_range(EngineKind::Stream, pcfg, 0..2, 1);
+        let mut l = BatchSampler::new(&img, fp, 7, scfg, &lru).with_warm_bank(true);
+        let _ = run(&mut l, EngineKind::Stream, pcfg, 0..2, 1);
         assert!(
             lru.warm_cache_resident_bytes() <= fresh.warm_cache_resident_bytes() + 8,
             "cache must stay within its budget"
@@ -1399,8 +1054,8 @@ mod tests {
         let pcfg = ProcessorConfig::table2(4);
         let store = tmp_store("bank-timing");
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-        let mut s = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let _ = s.run_range(EngineKind::Stream, pcfg, 0..3, 1);
+        let mut s = BatchSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+        let _ = run(&mut s, EngineKind::Stream, pcfg, 0..3, 1);
         let t = s.timing();
         assert_eq!(t.windows, 3);
         assert!(t.warm_ns > 0, "live warming takes measurable time");
@@ -1417,14 +1072,14 @@ mod tests {
         let store = tmp_store("ooo");
         let fp = sfetch_trace::trace_fingerprint(&img, 11, 4096);
 
-        let mut fwd = StoredSampler::new(&img, fp, 11, scfg, &store);
-        let in_order = fwd.run_range(EngineKind::Ftb, pcfg, 0..3, 1);
+        let mut fwd = BatchSampler::new(&img, fp, 11, scfg, &store);
+        let in_order = run(&mut fwd, EngineKind::Ftb, pcfg, 0..3, 1);
 
         // A second runner asks for window 2 first, then 0 — the walker
         // must rewind through the store, not panic or drift.
-        let mut ooo = StoredSampler::new(&img, fp, 11, scfg, &store);
-        let (p2, _) = ooo.run_window(EngineKind::Ftb, pcfg, 2);
-        let (p0, _) = ooo.run_window(EngineKind::Ftb, pcfg, 0);
+        let mut ooo = BatchSampler::new(&img, fp, 11, scfg, &store);
+        let p2 = run(&mut ooo, EngineKind::Ftb, pcfg, 2..3, 1)[0];
+        let p0 = run(&mut ooo, EngineKind::Ftb, pcfg, 0..1, 1)[0];
         assert_eq!(p2, in_order[2]);
         assert_eq!(p0, in_order[0]);
         assert_eq!(ooo.stats().hits, 2);
@@ -1443,8 +1098,8 @@ mod tests {
 
         // Uncapped populate: 4 checkpoints, record their bytes.
         let store = tmp_store("cap");
-        let mut s = StoredSampler::new(&img, fp, 7, scfg, &store);
-        let want = s.run_range(EngineKind::Stream, pcfg, 0..4, 1);
+        let mut s = BatchSampler::new(&img, fp, 7, scfg, &store);
+        let want = run(&mut s, EngineKind::Stream, pcfg, 0..4, 1);
         assert_eq!(store.entries(), 4);
         assert_eq!(store.evicted(), 0, "no cap, no shedding");
         let keys: Vec<StoreKey> = (0..4)
@@ -1477,8 +1132,8 @@ mod tests {
         // Heal: an uncapped rerun recomputes the evicted checkpoints and
         // lands on byte-identical entry files and bit-identical points.
         let heal_store = CheckpointStore::open(store.root()).expect("reopen");
-        let mut heal = StoredSampler::new(&img, fp, 7, scfg, &heal_store);
-        let got = heal.run_range(EngineKind::Stream, pcfg, 0..4, 1);
+        let mut heal = BatchSampler::new(&img, fp, 7, scfg, &heal_store);
+        let got = run(&mut heal, EngineKind::Stream, pcfg, 0..4, 1);
         assert_eq!(want, got, "evicted windows recompute bit-identically");
         assert!(heal.stats().misses > 0, "healing recomputed evicted entries");
         for (k, bytes) in keys.iter().zip(&pristine) {
@@ -1498,8 +1153,8 @@ mod tests {
         let fp = sfetch_trace::trace_fingerprint(&img, 13, 4096);
 
         let store = tmp_store("cap-lease");
-        let mut s = StoredSampler::new(&img, fp, 13, scfg, &store);
-        let _ = s.run_range(EngineKind::Stream, pcfg, 0..3, 1);
+        let mut s = BatchSampler::new(&img, fp, 13, scfg, &store);
+        let _ = run(&mut s, EngineKind::Stream, pcfg, 0..3, 1);
         let keys: Vec<StoreKey> = (0..3)
             .map(|w| StoreKey { fingerprint: fp, seed: 13, at_inst: s.warming_start(w) })
             .collect();

@@ -23,11 +23,11 @@
 //!   byte-identical to a local run.
 //! - **Warm-engine-state banking.** Requests submitted with
 //!   `warm_bank` run their cells through
-//!   `StoredSampler::with_warm_bank`, so the detailed-warming walk of a
-//!   window is persisted per (engine, config, workload, offset) and
-//!   resident reruns skip it. Banked state changes host time only,
-//!   never output bytes, so banked and unbanked requests share one
-//!   family.
+//!   [`BatchSampler::with_warm_bank`](sfetch_sample::BatchSampler::with_warm_bank),
+//!   so the functional-warming state of a window is persisted per
+//!   (engine, config, workload, offset) and resident reruns skip it.
+//!   Banked state changes host time only, never output bytes, so banked
+//!   and unbanked requests share one family.
 //!
 //! The wire protocol (one JSON object per line over a Unix domain
 //! socket) is defined in [`sfetch_bench::driver`] — the daemon and the
@@ -38,7 +38,8 @@
 //! groups of up to `N`, and each group shares one batched sweep — one
 //! fast-forward, one functional reference stream — through the same
 //! [`BatchSampler`](sfetch_sample::BatchSampler) the one-shot grids
-//! use, so resident output stays byte-identical.
+//! use (a lone cell is a one-cell batch), so resident output stays
+//! byte-identical.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -48,15 +49,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use sfetch_bench::driver::{cell_group_bodies, validate_shard_text, GridRequest, ServeEvent};
+use sfetch_bench::driver::{
+    cell_group_bodies, populate_store, validate_shard_text, GridRequest, ServeEvent,
+};
 use sfetch_bench::grid::parse_shard_file;
 use sfetch_bench::{workload_by_name, HarnessOpts};
 use sfetch_fleet::{
     now_ms, run_fleet_notify, seal, CellId, FleetConfig, FleetError, HeartbeatGuard, Launcher,
     Ledger, PollResult, WorkerHandle,
 };
-use sfetch_sample::{estimate, CheckpointStore, SampleConfig, StoredSampler};
-use sfetch_workloads::{LayoutChoice, Workload};
+use sfetch_sample::{estimate, CheckpointStore, SampleConfig};
+use sfetch_workloads::Workload;
 
 pub mod signals;
 
@@ -602,17 +605,7 @@ fn run_family(
     // One architectural walk banks the family's warming-start
     // checkpoints; on the resident warm store this is verification
     // traffic only.
-    {
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store);
-        let computed = populate.populate(windows);
-        eprintln!(
-            "serve: [{}] {windows} windows ready ({computed} computed, {} loaded warm)",
-            w.name(),
-            populate.stats().hits
-        );
-    }
+    populate_store(&w, scfg, windows, &store, &format!("serve: [{}]", w.name()));
 
     // Union of canonical cells; per cell, which members subscribe.
     let mut cells: Vec<CellId> = Vec::new();

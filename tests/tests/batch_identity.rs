@@ -2,7 +2,7 @@
 //! cell mix (engine × width × front pipeline), any window schedule, any
 //! batch size and any banking state, [`BatchSampler`] must produce
 //! per-window results **bit-identical** to running every cell through
-//! the per-window [`StoredSampler`] — the full `SimStats`, not just the
+//! the storeless live [`Sampler`] — the full `SimStats`, not just the
 //! IPC. The squash-heavy phased workload additionally pins the case
 //! where measured windows straddle the in-flight batch boundary.
 
@@ -13,9 +13,7 @@ use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
-use sfetch_sample::{
-    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, StoredSampler,
-};
+use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, Sampler};
 use sfetch_workloads::LayoutChoice;
 
 fn tmp_store(tag: &str) -> CheckpointStore {
@@ -25,24 +23,21 @@ fn tmp_store(tag: &str) -> CheckpointStore {
     CheckpointStore::open(dir).expect("open store")
 }
 
-/// The per-window oracle: each cell independently through `StoredSampler`.
-#[allow(clippy::too_many_arguments)]
+/// The storeless oracle: each cell independently through the live
+/// [`Sampler`], which walks the trace itself.
 fn serial_oracle(
     img: &CodeImage,
-    fingerprint: u64,
     seed: u64,
     scfg: SampleConfig,
-    store: &CheckpointStore,
     cells: &[BatchCell],
     range: std::ops::Range<u64>,
-    warm_bank: bool,
 ) -> Vec<Vec<(SamplePoint, SimStats)>> {
     cells
         .iter()
         .map(|c| {
-            StoredSampler::new(img, fingerprint, seed, scfg, store)
-                .with_warm_bank(warm_bank)
-                .run_range_stats(c.kind, c.pcfg, range.clone(), 1)
+            let mut live = Sampler::new(img, c.kind, c.pcfg, scfg, seed);
+            live.skip(range.start);
+            range.clone().map(|_| live.next_window_full()).collect()
         })
         .collect()
 }
@@ -75,7 +70,7 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
         EngineKind::ALL.iter().map(|&k| cell(k, 8, true)).collect();
     let store = tmp_store("phased");
     let got = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).run_range(&cells, 0..3, 2);
-    let want = serial_oracle(img, fp, w.ref_seed(), scfg, &store, &cells, 0..3, false);
+    let want = serial_oracle(img, w.ref_seed(), scfg, &cells, 0..3);
     assert_eq!(got, want, "phased batched windows must match the per-window oracle bit-for-bit");
     let mispredictions: u64 = got.iter().flatten().map(|(_, s)| s.mispredictions).sum();
     assert!(mispredictions > 0, "phased windows must actually exercise squash recovery");
@@ -87,7 +82,7 @@ proptest! {
 
     /// Random (front pipeline, engine, width, batch size, window
     /// schedule, banking) → full per-window `SimStats` equality with the
-    /// per-window path.
+    /// storeless live sampler.
     #[test]
     fn batched_execution_is_bit_identical_to_per_window(
         gen_seed in 0u64..200,
@@ -123,9 +118,7 @@ proptest! {
         let mut b = BatchSampler::new(&img, gen_seed, exec_seed, scfg, &store)
             .with_warm_bank(warm_bank);
         let got = b.run_range(&cells, range.clone(), jobs);
-        let want = serial_oracle(
-            &img, gen_seed, exec_seed, scfg, &store, &cells, range.clone(), warm_bank,
-        );
+        let want = serial_oracle(&img, exec_seed, scfg, &cells, range.clone());
         prop_assert_eq!(&got, &want, "batched output diverged from the per-window oracle");
 
         // A banked rerun (restoring warm state the first pass saved)

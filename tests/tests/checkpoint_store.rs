@@ -9,7 +9,8 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    CheckpointStore, SampleConfig, Sampler, StoreKey, StoreMiss, StoredSampler,
+    BatchCell, BatchSampler, CheckpointStore, SampleConfig, SamplePoint, Sampler, StoreKey,
+    StoreMiss,
 };
 use sfetch_workloads::phased::{self, PhasedParams};
 
@@ -28,6 +29,16 @@ fn quick_schedule() -> SampleConfig {
         measure: 3_000,
         ..Default::default()
     }
+}
+
+/// One cell's windows `0..windows` through a one-cell batch.
+fn run_cell(
+    s: &mut BatchSampler<'_>,
+    kind: EngineKind,
+    pcfg: ProcessorConfig,
+    windows: u64,
+) -> Vec<SamplePoint> {
+    s.run_range_points(&[BatchCell { kind, pcfg }], 0..windows, 1).remove(0)
 }
 
 fn tmp_store(tag: &str) -> CheckpointStore {
@@ -92,7 +103,8 @@ proptest! {
 
 /// Running the sampler twice — once against a cold store, once against
 /// the store the first run populated — must produce byte-identical
-/// merged window stats, with the second run served entirely from disk.
+/// merged window stats, equal to the storeless live sampler's, with the
+/// second run served entirely from disk.
 #[test]
 fn cold_and_warm_store_runs_are_byte_identical() {
     let img = phased_image(3);
@@ -101,30 +113,33 @@ fn cold_and_warm_store_runs_are_byte_identical() {
     let store = tmp_store("reuse");
     let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
     let windows = 4u64;
+    let live = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 7).run(windows);
 
-    let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let cold_pts = cold.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
+    let mut cold = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let cold_pts = run_cell(&mut cold, EngineKind::Stream, pcfg, windows);
     assert_eq!(cold.stats().misses, windows, "cold run computes every checkpoint");
     assert_eq!(store.entries() as u64, windows);
+    assert_eq!(cold_pts, live, "cold-store run must match the storeless sampler");
 
-    let mut warm = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let warm_pts = warm.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
+    let mut warm = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let warm_pts = run_cell(&mut warm, EngineKind::Stream, pcfg, windows);
     assert_eq!(warm.stats().hits, windows, "warm run loads every checkpoint");
     assert_eq!(warm.stats().misses, 0);
     assert_eq!(cold_pts, warm_pts, "warm-store replay must be byte-identical");
 
     // And so must a different engine/width riding the same store: the
     // checkpoints are configuration-independent.
-    let mut other = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let other_pts = other.run_range(EngineKind::Ev8, ProcessorConfig::table2(4), 0..windows, 1);
+    let ev8 = ProcessorConfig::table2(4);
+    let mut other = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let other_pts = run_cell(&mut other, EngineKind::Ev8, ev8, windows);
     assert_eq!(other.stats().hits, windows, "cross-config run reuses the same entries");
-    assert_eq!(other_pts.len() as u64, windows);
+    assert_eq!(other_pts, Sampler::new(&img, EngineKind::Ev8, ev8, scfg, 7).run(windows));
     let _ = std::fs::remove_dir_all(store.root());
 }
 
 /// A corrupted or version-mismatched store entry must be *rejected and
-/// recomputed* — the run's results stay identical to a cold run, the
-/// damage is counted, and the entry is healed on disk.
+/// recomputed* — the run's results stay identical to the storeless live
+/// sampler's, the damage is counted, and the entry is healed on disk.
 #[test]
 fn damaged_entries_are_rejected_and_recomputed() {
     let img = phased_image(5);
@@ -134,8 +149,9 @@ fn damaged_entries_are_rejected_and_recomputed() {
     let fp = sfetch_trace::trace_fingerprint(&img, 9, 4096);
     let windows = 3u64;
 
-    let mut cold = StoredSampler::new(&img, fp, 9, scfg, &store);
-    let want = cold.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
+    let want = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 9).run(windows);
+    let mut cold = BatchSampler::new(&img, fp, 9, scfg, &store);
+    assert_eq!(run_cell(&mut cold, EngineKind::Stream, pcfg, windows), want);
 
     // Corrupt window 1's entry (flip a payload byte) and stamp window
     // 2's entry with a future format version.
@@ -157,9 +173,9 @@ fn damaged_entries_are_rejected_and_recomputed() {
     assert!(matches!(store.load(&key(2)), Err(StoreMiss::Rejected(_))));
 
     // The damaged run must notice, recompute, and still match.
-    let mut healed = StoredSampler::new(&img, fp, 9, scfg, &store);
-    let got = healed.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
-    assert_eq!(want, got, "recomputed windows must equal the cold run");
+    let mut healed = BatchSampler::new(&img, fp, 9, scfg, &store);
+    let got = run_cell(&mut healed, EngineKind::Stream, pcfg, windows);
+    assert_eq!(want, got, "recomputed windows must equal the storeless run");
     assert_eq!(healed.stats().rejected, 2, "both damaged entries rejected");
     // Window 0's intact entry serves twice: once for its own window and
     // once as the restart point for recomputing window 1.

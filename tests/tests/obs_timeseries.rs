@@ -1,17 +1,18 @@
 //! The cycle-accounting time-series contract, end to end: interval rows
 //! emitted by [`TimeSeriesSink`] over sampled windows sum **exactly** to
-//! the aggregate [`SimStats`] — across [`StoredSampler`] window
+//! the aggregate [`SimStats`] — across [`BatchSampler`] window
 //! boundaries, for every interval choice, with no cycle dropped or
 //! double-counted — and the stats-carrying sampler entry point
-//! ([`StoredSampler::run_range_stats`]) returns the same sample points
-//! as the point-only path, serial or parallel.
+//! ([`BatchSampler::run_range`]) returns the same sample points as the
+//! point-only path ([`BatchSampler::run_range_points`]), serial or
+//! parallel.
 
 use sfetch_bench::obs::{ts_columns, ts_delta, TS_KEY};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{CycleBuckets, ProcessorConfig, SimStats};
 use sfetch_fetch::EngineKind;
 use sfetch_obs::TimeSeriesSink;
-use sfetch_sample::{CheckpointStore, SampleConfig, StoredSampler};
+use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SampleConfig};
 use sfetch_workloads::phased::{self, PhasedParams};
 
 fn phased_image(seed: u64) -> CodeImage {
@@ -41,12 +42,9 @@ fn tmp_store(tag: &str) -> CheckpointStore {
 fn sampled_stats(store: &CheckpointStore, windows: u64, jobs: usize) -> Vec<SimStats> {
     let img = phased_image(5);
     let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-    let mut sampler = StoredSampler::new(&img, fp, 7, quick_schedule(), store);
-    sampler
-        .run_range_stats(EngineKind::Stream, ProcessorConfig::table2(4), 0..windows, jobs)
-        .into_iter()
-        .map(|(_, s)| s)
-        .collect()
+    let cell = BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(4) };
+    let mut sampler = BatchSampler::new(&img, fp, 7, quick_schedule(), store);
+    sampler.run_range(&[cell], 0..windows, jobs).remove(0).into_iter().map(|(_, s)| s).collect()
 }
 
 /// For every interval choice — per-window rows (0), an interval that
@@ -114,30 +112,30 @@ fn interval_rows_sum_exactly_to_the_aggregate_across_window_boundaries() {
 /// the parallel fan-out with the serial order: same sample points, same
 /// per-window stats, warm store or cold.
 #[test]
-fn run_range_stats_matches_run_range_serial_and_parallel() {
+fn run_range_matches_run_range_points_serial_and_parallel() {
     let store = tmp_store("par");
     let windows = 5u64;
     let img = phased_image(5);
     let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
     let scfg = quick_schedule();
-    let pcfg = ProcessorConfig::table2(4);
+    let cells = [BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(4) }];
 
-    let mut points_only = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let points = points_only.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
+    let mut points_only = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let points = points_only.run_range_points(&cells, 0..windows, 1).remove(0);
 
-    let mut serial = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let serial_full = serial.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 1);
+    let mut serial = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let serial_full = serial.run_range(&cells, 0..windows, 1).remove(0);
     assert_eq!(
         points,
         serial_full.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-        "run_range_stats must visit the same sample points"
+        "run_range must visit the same sample points as run_range_points"
     );
     for (p, s) in &serial_full {
         assert_eq!((p.committed, p.cycles), (s.committed, s.cycles));
     }
 
-    let mut parallel = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let parallel_full = parallel.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 3);
+    let mut parallel = BatchSampler::new(&img, fp, 7, scfg, &store);
+    let parallel_full = parallel.run_range(&cells, 0..windows, 3).remove(0);
     assert_eq!(serial_full, parallel_full, "parallel fan-out must preserve window order");
     let _ = std::fs::remove_dir_all(store.root());
 }
