@@ -35,7 +35,6 @@ fn sweep_cell(
 ) -> Vec<SimStats> {
     par_map(workloads, opts.jobs, |_, w| {
         let mut pc = ProcessorConfig::table2(8);
-        pc.legacy_scan = opts.legacy_scan;
         pc.prefetch = if kind == PrefetchKind::None {
             PrefetchConfig::none()
         } else {

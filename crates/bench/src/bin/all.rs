@@ -1,7 +1,7 @@
-//! Runs every experiment in sequence (figures 8 and 9, tables 1–3, all
-//! ablations, perfstats) by re-invoking the sibling binaries, forwarding
-//! `--inst` / `--warmup` / `--jobs`. Results go to stdout; EXPERIMENTS.md
-//! records a reference run.
+//! Runs the paper's experiments in sequence (figures 8 and 9 with their
+//! sampled twins, tables 1–3, the line-size/predictor/FTQ/STS
+//! ablations) by re-invoking the sibling binaries, forwarding the
+//! harness flags. Results go to stdout.
 //!
 //! ```text
 //! cargo run --release -p sfetch-bench --bin all [-- --inst N --warmup N --jobs N]
@@ -27,7 +27,6 @@ fn main() {
         "ablation_predictor",
         "ablation_ftq",
         "ablation_sts",
-        "perfstats",
     ] {
         println!("\n===================== {bin} =====================");
         let status = Command::new(dir.join(bin))

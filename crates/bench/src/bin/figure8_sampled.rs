@@ -19,7 +19,7 @@
 //!     [--procs N] [--verify] [--chaos SEED] [--max-retries N] \
 //!     [--cell-timeout SECS] [--spread-floor F] \
 //!     [--jobs N] [--batch N] [--store-cap-bytes N] \
-//!     [--legacy-scan] [--prefetch K] [--warm-bank] \
+//!     [--prefetch K] [--warm-bank] \
 //!     [--front-pipeline legacy|engine] [--grid-prefetch shared|natural] \
 //!     [--serve SOCKET] [--req ID] \
 //!     [--obs-dir DIR] [--interval N] [--ptrace LO-HI]

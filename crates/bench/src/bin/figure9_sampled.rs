@@ -33,7 +33,7 @@
 //!     [--benches gzip,gcc,crafty,twolf,phased] [--engines all|…] \
 //!     [--grid-total N] [--grid-sample U,Wf,Wd,D[,Wm]] [--store DIR] \
 //!     [--procs N] [--chaos SEED] [--max-retries N] [--cell-timeout S] \
-//!     [--jobs N] [--legacy-scan] [--prefetch K] [--warm-bank] \
+//!     [--jobs N] [--prefetch K] [--warm-bank] \
 //!     [--front-pipeline legacy|engine] [--grid-prefetch shared|natural] \
 //!     [--serve SOCKET] [--req ID] \
 //!     [--obs-dir DIR] [--interval N] [--ptrace LO-HI]

@@ -21,7 +21,7 @@ fn main() {
         opts,
     );
 
-    println!("\nTable 3: 8-wide processor (suite means; paper values in DESIGN.md)");
+    println!("\nTable 3: 8-wide processor (suite means)");
     println!(
         "{:<18} | {:>8} {:>7} {:>6} | {:>8} {:>7} {:>6}",
         "", "base", "", "", "optimized", "", ""

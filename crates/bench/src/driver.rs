@@ -261,7 +261,7 @@ impl CommonArgs {
                     i += 2;
                 }
                 // Bool flags HarnessOpts understands.
-                flag @ ("--legacy-scan" | "--long" | "--warm-bank") => {
+                flag @ ("--long" | "--warm-bank") => {
                     rest.push(flag.to_owned());
                     i += 1;
                 }
@@ -474,8 +474,8 @@ pub struct GridRequest {
     pub total: u64,
     /// Sampling schedule.
     pub scfg: SampleConfig,
-    /// Simulated-model options (legacy scan, prefetch, front pipeline,
-    /// grid prefetch) plus jobs/warm-bank execution knobs.
+    /// Simulated-model options (prefetch, front pipeline, grid
+    /// prefetch) plus jobs/batch/warm-bank execution knobs.
     pub opts: HarnessOpts,
 }
 
@@ -498,15 +498,11 @@ impl GridRequest {
     /// family so the ledger dedupes their shared cells.
     pub fn family_tag(&self) -> u64 {
         let key = format!(
-            "serve-family|{GRID_SHARD_SCHEMA}|{}|{}|{}|legacy={}|pf={}:{}|front={}|gridpf={}",
+            "serve-family|{GRID_SHARD_SCHEMA}|{}|{}|{}|{}",
             self.bench,
             self.scfg.to_spec(),
             self.total,
-            self.opts.legacy_scan,
-            self.opts.prefetch.kind,
-            self.opts.prefetch.mshrs,
-            self.opts.front.as_str(),
-            self.opts.grid_prefetch.as_str(),
+            self.opts.model_key(),
         );
         fnv64(key.as_bytes())
     }
@@ -539,7 +535,6 @@ impl GridRequest {
             )
             .u("total", self.total)
             .s("sample", &self.scfg.to_spec())
-            .b("legacy", self.opts.legacy_scan)
             .s("pf", &self.opts.prefetch.kind.to_string())
             .u("mshrs", self.opts.prefetch.mshrs as u64)
             .s("front", self.opts.front.as_str())
@@ -574,7 +569,6 @@ impl GridRequest {
         let mut opts = HarnessOpts {
             grid_total: total,
             grid_sample: scfg,
-            legacy_scan: jfield_bool(line, "legacy").unwrap_or(false),
             warm_bank: jfield_bool(line, "warm_bank").unwrap_or(false),
             ..HarnessOpts::default()
         };
@@ -886,6 +880,7 @@ pub fn submit_and_collect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfetch_core::{PrefetchConfig, PrefetchKind};
 
     fn req() -> GridRequest {
         let opts = HarnessOpts { jobs: 3, batch: 4, ..HarnessOpts::default() };
@@ -970,8 +965,11 @@ mod tests {
         c.total = 4_000_000;
         assert_ne!(a.family_tag(), c.family_tag(), "the horizon is output-relevant");
         let mut d = req();
-        d.opts.legacy_scan = true;
-        assert_ne!(a.family_tag(), d.family_tag(), "the simulated model is output-relevant");
+        d.opts.front = crate::FrontMode::Legacy;
+        assert_ne!(a.family_tag(), d.family_tag(), "the front model is output-relevant");
+        let mut e = req();
+        e.opts.prefetch = PrefetchConfig::enabled(PrefetchKind::NextLine);
+        assert_ne!(a.family_tag(), e.family_tag(), "the prefetch model is output-relevant");
     }
 
     #[test]

@@ -150,17 +150,13 @@ fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
         spec.grid.iter().map(|c| engine_key(c.engine)).collect::<Vec<_>>();
     let widths: Vec<String> = spec.grid.iter().map(|c| c.width.to_string()).collect();
     let key = format!(
-        "{GRID_SHARD_SCHEMA}|{}|{}|{}|{}|{}|legacy={}|pf={}:{}|front={}|gridpf={}|chaos={:?}",
+        "{GRID_SHARD_SCHEMA}|{}|{}|{}|{}|{}|{}|chaos={:?}",
         spec.bench,
         spec.scfg.to_spec(),
         spec.total,
         engines.join(","),
         widths.join(","),
-        spec.opts.legacy_scan,
-        spec.opts.prefetch.kind,
-        spec.opts.prefetch.mshrs,
-        spec.opts.front.as_str(),
-        spec.opts.grid_prefetch.as_str(),
+        spec.opts.model_key(),
         spec.chaos,
     );
     fnv64(key.as_bytes())
@@ -251,9 +247,6 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
                 .arg(spec.opts.front.as_str())
                 .arg("--fleet-grid-prefetch")
                 .arg(spec.opts.grid_prefetch.as_str());
-            if spec.opts.legacy_scan {
-                cmd.arg("--fleet-legacy-scan");
-            }
             if spec.opts.warm_bank {
                 cmd.arg("--fleet-warm-bank");
             }
@@ -441,11 +434,6 @@ fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
             "--fleet-jobs" => {
                 opts.jobs = take(i)?.parse().map_err(|e| format!("--fleet-jobs: {e}"))?
             }
-            "--fleet-legacy-scan" => {
-                opts.legacy_scan = true;
-                i += 1;
-                continue;
-            }
             // Note: deliberately absent from `config_tag` — banked warm
             // state changes host time only, never the output bytes, so a
             // banked rerun must resume the un-banked ledger (and vice
@@ -614,7 +602,6 @@ mod tests {
             "legacy",
             "--fleet-grid-prefetch",
             "shared",
-            "--fleet-legacy-scan",
         ]
         .iter()
         .map(|s| (*s).to_owned())
@@ -625,7 +612,6 @@ mod tests {
         assert_eq!(a.bench, "phased");
         assert_eq!(a.attempt, 1);
         assert_eq!(a.opts.jobs, 2);
-        assert!(a.opts.legacy_scan);
         assert_eq!(a.opts.front, crate::FrontMode::Legacy);
         assert_eq!(a.opts.grid_prefetch, crate::GridPrefetchMode::Shared);
         assert!(parse_child_args(&args[2..]).is_err(), "missing --fleet-cell is an error");

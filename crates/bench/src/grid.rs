@@ -5,8 +5,8 @@
 //! Before this module, every figure binary re-declared its own engine
 //! and width axes; a drifted axis would have silently compared
 //! different grids. `figure8`/`figure9` and their `_sampled` siblings
-//! and `perfstats`' calibration section all pull the axes, the
-//! sampled-grid schedule, and the engine-key spellings from here.
+//! pull the axes, the sampled-grid schedule, and the engine-key
+//! spellings from here.
 
 use std::fmt;
 use std::ops::Range;
@@ -181,7 +181,7 @@ pub fn parse_widths(spec: &str) -> Result<Vec<usize>, GridError> {
 }
 
 /// The processor configuration of a grid cell under the harness options:
-/// Table 2 at the cell's width, honoring `--legacy-scan`,
+/// Table 2 at the cell's width, honoring
 /// `--front-pipeline` (the cell engine's front model under
 /// [`crate::FrontMode::PerEngine`]), and the cell's prefetch policy —
 /// `--prefetch` under [`crate::GridPrefetchMode::Shared`], the engine's
@@ -193,7 +193,6 @@ pub fn parse_widths(spec: &str) -> Result<Vec<usize>, GridError> {
 /// windows — sweeping these axes inside the grid is warm-store cheap.
 pub fn cell_config(cell: GridCell, opts: &HarnessOpts) -> ProcessorConfig {
     let mut pcfg = ProcessorConfig::table2(cell.width);
-    pcfg.legacy_scan = opts.legacy_scan;
     pcfg.prefetch = match opts.grid_prefetch {
         crate::GridPrefetchMode::Shared => opts.prefetch,
         crate::GridPrefetchMode::Natural => {

@@ -1,8 +1,8 @@
 //! # sfetch-bench
 //!
 //! The experiment harness that regenerates every table and figure of
-//! *"Fetching instruction streams"* (see DESIGN.md §3 for the experiment
-//! index). Each binary under `src/bin/` reproduces one artifact:
+//! *"Fetching instruction streams"* (the paper's abstract is in
+//! PAPER.md). Each binary under `src/bin/` reproduces one artifact:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -17,22 +17,21 @@
 //! | `ablation_sts` | selective trace storage on/off |
 //! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
-//! | `perfstats` | host throughput per engine + the sampling A/B + the store-backed calibration grid → `BENCH_10.json` |
-//! | `all` | everything above, in sequence |
+//! | `ablation_prefetch` | engine × instruction-prefetch policy matrix |
+//! | `characterize` | §3.2's branch-bias statistics per benchmark |
+//! | `all` | the tables, figures and the line-size/predictor/FTQ/STS ablations, in sequence |
 //!
 //! Run with `--inst N` / `--warmup N` to change the measured window
 //! (defaults: 1M measured after 200k warmup per point) and `--jobs N` to
 //! bound worker threads (default: all cores). `--long` appends the
-//! long-horizon phased workload to the ablation set; `--sample` /
-//! `--sample-total` configure `perfstats`' sampling A/B schedule (see
-//! [`sfetch_sample::SampleConfig`]). Every grid point owns its
+//! long-horizon phased workload to the ablation set; `--grid-total` /
+//! `--grid-sample` configure the sampled grids' horizon and schedule
+//! (see [`sfetch_sample::SampleConfig`]). Every grid point owns its
 //! `Processor` and derives only from its workload + configuration, so
 //! parallel runs are bit-identical to serial ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::time::Instant;
 
 use sfetch_core::{
     metrics::harmonic_mean, simulate, FrontPipeline, PrefetchConfig, PrefetchKind, Processor,
@@ -139,10 +138,6 @@ pub struct HarnessOpts {
     pub warmup: u64,
     /// Maximum simulation worker threads.
     pub jobs: usize,
-    /// Simulate with the legacy per-cycle ROB scan instead of the
-    /// event-driven scheduler (differential testing / A-B measurement;
-    /// results are bit-identical, only host throughput differs).
-    pub legacy_scan: bool,
     /// Instruction-prefetch configuration applied to every grid point
     /// (default: disabled — the legacy blocking L1i). Honored by the
     /// `run_point`-based grids and `ablation_prefetch`; the
@@ -153,14 +148,8 @@ pub struct HarnessOpts {
     /// default so tier-1 runtimes stay bounded; `ablation_workloads`
     /// appends it when set.
     pub long: bool,
-    /// Committed instructions of the sampling A/B's long run
-    /// (`--sample-total N`; `perfstats` only).
-    pub sample_total: u64,
-    /// The U/W/D schedule of the sampling A/B (`--sample U,Wf,Wd,D`;
-    /// `perfstats` only).
-    pub sample: SampleConfig,
     /// Committed instructions of the sampled calibration grid
-    /// (`--grid-total N`; the `*_sampled` bins and `perfstats`).
+    /// (`--grid-total N`; the `*_sampled` bins).
     pub grid_total: u64,
     /// The calibration grid's sampling schedule (`--grid-sample
     /// U,Wf,Wd,D[,Wm]`; default [`grid::calibration_schedule`]).
@@ -200,11 +189,8 @@ impl Default for HarnessOpts {
             insts: 1_000_000,
             warmup: 200_000,
             jobs: sfetch_workloads::default_jobs(),
-            legacy_scan: false,
             prefetch: PrefetchConfig::none(),
             long: false,
-            sample_total: 50_000_000,
-            sample: SampleConfig::default(),
             grid_total: 50_000_000,
             grid_sample: grid::calibration_schedule(),
             front: FrontMode::default(),
@@ -217,10 +203,9 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--inst N`, `--warmup N`, `--jobs N`, `--legacy-scan`,
+    /// Parses `--inst N`, `--warmup N`, `--jobs N`,
     /// `--prefetch KIND` (`none|next-line|stream|mana`), `--mshrs N`,
-    /// `--long`, `--sample-total N`, `--sample U,Wf,Wd,D`,
-    /// `--grid-total N`, `--grid-sample U,Wf,Wd,D[,Wm]`,
+    /// `--long`, `--grid-total N`, `--grid-sample U,Wf,Wd,D[,Wm]`,
     /// `--front-pipeline legacy|engine`, `--grid-prefetch
     /// shared|natural`, `--warm-bank`, `--batch N` and
     /// `--store-cap-bytes N` from the process arguments.
@@ -266,10 +251,6 @@ impl HarnessOpts {
                         .expect("--jobs requires a number >= 1");
                     i += 2;
                 }
-                "--legacy-scan" => {
-                    o.legacy_scan = true;
-                    i += 1;
-                }
                 "--prefetch" => {
                     pf_kind = args
                         .get(i + 1)
@@ -288,19 +269,6 @@ impl HarnessOpts {
                 "--long" => {
                     o.long = true;
                     i += 1;
-                }
-                "--sample-total" => {
-                    o.sample_total = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--sample-total requires a number");
-                    i += 2;
-                }
-                "--sample" => {
-                    let spec = args.get(i + 1).expect("--sample requires U,Wf,Wd,D");
-                    o.sample = SampleConfig::parse(spec)
-                        .unwrap_or_else(|e| panic!("bad --sample schedule: {e}"));
-                    i += 2;
                 }
                 "--grid-total" => {
                     o.grid_total = args
@@ -353,9 +321,8 @@ impl HarnessOpts {
                 other => {
                     panic!(
                         "unknown argument {other}; supported: --inst N, --warmup N, --jobs N, \
-                         --legacy-scan, --prefetch none|next-line|stream|mana, --mshrs N, \
-                         --long, --sample-total N, --sample U,Wf,Wd,D, --grid-total N, \
-                         --grid-sample U,Wf,Wd,D, --front-pipeline legacy|engine, \
+                         --prefetch none|next-line|stream|mana, --mshrs N, --long, \
+                         --grid-total N, --grid-sample U,Wf,Wd,D, --front-pipeline legacy|engine, \
                          --grid-prefetch shared|natural, --warm-bank, --batch N, \
                          --store-cap-bytes N"
                     )
@@ -373,6 +340,23 @@ impl HarnessOpts {
         }
         o.prefetch.validate();
         o
+    }
+
+    /// The options that decide a sampled grid's **output bytes** — the
+    /// simulated model: `--prefetch`/`--mshrs`, `--front-pipeline` and
+    /// `--grid-prefetch` — rendered for the fingerprints that key
+    /// ledgers ([`driver::GridRequest::family_tag`] and the fleet's
+    /// config tag). Host-time knobs (`jobs`, `batch`, `warm_bank`,
+    /// `store_cap_bytes`) are absent by design: output is bit-identical
+    /// under any of their values, so they must not split a family.
+    pub fn model_key(&self) -> String {
+        format!(
+            "pf={}:{}|front={}|gridpf={}",
+            self.prefetch.kind,
+            self.prefetch.mshrs,
+            self.front.as_str(),
+            self.grid_prefetch.as_str(),
+        )
     }
 }
 
@@ -401,7 +385,6 @@ pub fn run_point(
 ) -> RunPoint {
     let image = w.image(layout);
     let mut pc = ProcessorConfig::table2(width);
-    pc.legacy_scan = opts.legacy_scan;
     pc.prefetch = opts.prefetch;
     pc.front = opts.front.front_for(engine);
     let stats = simulate(w.cfg(), image, engine, pc, w.ref_seed(), opts.warmup, opts.insts);
@@ -420,8 +403,7 @@ pub fn run_custom(
     opts: HarnessOpts,
 ) -> SimStats {
     let image = w.image(layout);
-    let mut pc = ProcessorConfig::table2(width);
-    pc.legacy_scan = opts.legacy_scan;
+    let pc = ProcessorConfig::table2(width);
     // `opts.prefetch` is deliberately NOT applied here: the caller built
     // the engine without a prefetcher attached, so enabling the miss
     // pipeline alone would change the timing model while the output
@@ -578,13 +560,6 @@ pub fn print_engine_table(
         let o = metric(points, kind, LayoutChoice::Optimized);
         println!("{:<18} {:>9.3}{unit} {:>9.3}{unit}", kind.to_string(), b, o);
     }
-}
-
-/// Wall-clock timing of a closure, for host-throughput reporting.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

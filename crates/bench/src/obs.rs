@@ -164,7 +164,6 @@ pub fn capture_ptrace(
 ) -> KonataTrace {
     let image = w.image(LayoutChoice::Optimized);
     let mut pc = ProcessorConfig::table2(width);
-    pc.legacy_scan = opts.legacy_scan;
     pc.prefetch = opts.prefetch;
     pc.front = opts.front.front_for(engine);
     let eng = engine.build_for(width, image.entry(), &pc.prefetch, &pc.front);

@@ -26,7 +26,7 @@ pub struct ProcessorConfig {
     /// event-driven scheduler. The two back-ends retire the bit-identical
     /// instruction/cycle sequence (asserted by the differential tests);
     /// the scan exists only as the oracle for that comparison and for
-    /// measuring the scheduler's speedup (`perfstats --legacy-scan`).
+    /// the scheduler A/B in `crates/bench/benches/bench_processor.rs`.
     pub legacy_scan: bool,
     /// Instruction-prefetch subsystem: policy selection and L1i MSHR
     /// count. The default ([`PrefetchConfig::none`]) keeps the legacy

@@ -7,9 +7,10 @@
 //! [`Observer::ENABLED`] to `false`; every hook call in the processor is
 //! guarded by that associated constant, so the no-observer instantiation
 //! monomorphizes the hooks away entirely — tracing-off runs are
-//! bit-identical to the pre-observer simulator with no measurable
-//! overhead (the `<2%` wall-clock contract is asserted by the perfstats
-//! harness).
+//! bit-identical to the pre-observer simulator, and a live observer
+//! never moves simulated time (both pinned by the `golden_stats` and
+//! `cycle_accounting` integration tests). No gate on a live observer's
+//! wall-clock overhead exists yet.
 //!
 //! Concrete sinks (the Konata pipeline-trace writer) live in the
 //! dependency-free `sfetch-obs` crate; the adapter implementing this

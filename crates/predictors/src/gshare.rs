@@ -2,8 +2,8 @@
 //!
 //! Table 2 gives the trace cache a backup BTB but leaves the secondary-path
 //! *direction* predictor unnamed; consistent with the stated ≈45KB predictor
-//! budget we use a 16K-entry gshare (~4KB). Documented as a substitution in
-//! DESIGN.md.
+//! budget we use a 16K-entry gshare (~4KB), a substitution for the
+//! unnamed predictor.
 
 use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_isa::Addr;

@@ -93,13 +93,6 @@ pub struct WarmTiming {
     pub windows: u64,
 }
 
-impl WarmTiming {
-    /// Mean per-window warming cost in nanoseconds.
-    pub fn warm_ns_per_window(&self) -> u64 {
-        self.warm_ns.checked_div(self.windows).unwrap_or(0)
-    }
-}
-
 /// How one cell of one window obtains its warm state.
 enum CellSource {
     /// Restore from this verified banked entry.

@@ -93,9 +93,7 @@ pub mod store;
 
 pub use batch::{BatchCell, BatchSampler, WarmTiming};
 pub use config::{Confidence, SampleConfig};
-pub use runner::{
-    run_full_detailed, run_sampled, run_sampled_jobs, SamplePoint, SampledRun, Sampler,
-};
+pub use runner::{run_full_detailed, run_sampled, SamplePoint, SampledRun, Sampler};
 pub use shard::{merge_points, window_range, ShardSpec};
 pub use stats::{estimate, Estimate};
 pub use store::{

@@ -395,22 +395,8 @@ pub fn run_sampled(
     total_insts: u64,
     scfg: &SampleConfig,
 ) -> SampledRun {
-    run_sampled_jobs(image, kind, pcfg, seed, total_insts, scfg, 1)
-}
-
-/// [`run_sampled`] with up to `jobs` window-simulation worker threads;
-/// bit-identical to the serial run for any `jobs`.
-pub fn run_sampled_jobs(
-    image: &CodeImage,
-    kind: EngineKind,
-    pcfg: ProcessorConfig,
-    seed: u64,
-    total_insts: u64,
-    scfg: &SampleConfig,
-    jobs: usize,
-) -> SampledRun {
     let mut s = Sampler::new(image, kind, pcfg, *scfg, seed);
-    let points = s.run_parallel(scfg.windows(total_insts), jobs);
+    let points = s.run(scfg.windows(total_insts));
     let estimate = estimate(&points, scfg.confidence);
     SampledRun { points, estimate }
 }
@@ -511,9 +497,9 @@ mod tests {
         let pcfg = ProcessorConfig::table2(4);
         let serial = run_sampled(&img, EngineKind::Stream, pcfg, 11, 320_000, &scfg);
         for jobs in [2, 3, 8] {
-            let par = run_sampled_jobs(&img, EngineKind::Stream, pcfg, 11, 320_000, &scfg, jobs);
-            assert_eq!(serial.points, par.points, "jobs = {jobs}");
-            assert_eq!(serial.estimate, par.estimate, "jobs = {jobs}");
+            let mut s = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 11);
+            let par = s.run_parallel(scfg.windows(320_000), jobs);
+            assert_eq!(serial.points, par, "jobs = {jobs}");
         }
     }
 

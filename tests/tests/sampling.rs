@@ -147,7 +147,7 @@ proptest! {
 
 /// The phased generator's small configuration runs end-to-end through
 /// the sampler with a sane estimate (the long configuration is exercised
-/// by `perfstats`' sampling A/B).
+/// by `figure8_sampled` and perfbench's `phased_grid` workload).
 #[test]
 fn phased_small_samples_sanely() {
     let cfg = phased::generate(&PhasedParams::small(), 3);
